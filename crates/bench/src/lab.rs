@@ -11,8 +11,8 @@
 //!   count, lag drain, failover with link-state preservation.
 //! * [`Kind::CheckpointShipping`] — the a11 arms: WAL retention budgets
 //!   and fresh-standby delta catch-up.
-//! * [`Kind::FrontEnd`] — the a12 arms: upcall-pool bursts and agent
-//!   churn, fixed vs adaptive, thread-per-agent vs shared executor.
+//! * [`Kind::FrontEnd`] — the a12 arms: upcall-pool bursts, fixed vs
+//!   adaptive, and agent churn over the shared executor.
 //! * [`Kind::Mixed`] — the generic client-mix loop with fault-injection
 //!   points (crash the primary at op N, stall/resume a standby, kill
 //!   upcall workers, exhaust the repository or host disk, shear the host
@@ -692,7 +692,7 @@ fn front_end(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String> {
     let high_clients = plan
         .trials
         .iter()
-        .filter(|t| t.params.thread_per_agent.is_none())
+        .filter(|t| t.params.agents.is_none())
         .filter_map(|t| t.params.clients)
         .max()
         .unwrap_or(0);
@@ -706,7 +706,7 @@ fn front_end(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String> {
         let t0 = &trials[0];
         let p = &t0.params;
         let sync_ns = p.sync_latency_us.unwrap_or(0) * 1000;
-        match p.thread_per_agent {
+        match p.agents {
             // --- bursty upcall load: fixed vs adaptive ----------------------
             None => {
                 let clients = need(sc, t0, "clients", p.clients)?;
@@ -775,16 +775,15 @@ fn front_end(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String> {
                     vs_fixed,
                 ]);
             }
-            // --- agent churn: thread-per-agent vs shared executor -----------
-            Some(thread_per_agent) => {
-                let agents = need(sc, t0, "agents", p.agents)? as usize;
+            // --- agent churn over the shared executor ------------------------
+            Some(agents) => {
+                let agents = agents as usize;
                 title_agents = title_agents.max(agents as u64);
                 let (mut rate_sum, mut threads, mut connections) = (0.0f64, 0usize, 0usize);
                 for _ in &trials {
                     let f = fixture(FixtureOptions {
                         n_files: 1,
                         db_sync_latency_ns: sync_ns,
-                        thread_per_agent,
                         ..Default::default()
                     });
                     let raw = f.sys.raw_fs(SRV).expect("raw");
@@ -823,29 +822,19 @@ fn front_end(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String> {
                         }
                     });
                     rate_sum += (agents * 2) as f64 / elapsed.as_secs_f64();
-                    threads = match node.main_daemon().executor_stats() {
-                        Some(stats) => stats.peak_workers(),
-                        None => node.main_daemon().executor_threads(),
-                    };
+                    threads = node.main_daemon().executor_stats().peak_workers();
                     connections = node.main_daemon().child_count();
                 }
                 let rate = rate_sum / trials.len() as f64;
-                if !thread_per_agent {
-                    // The multiplexing claims ride on the shared arm.
-                    metrics.insert("max_os_threads".into(), threads as f64);
-                    metrics.insert("churn_connections".into(), connections as f64);
-                }
+                metrics.insert("max_os_threads".into(), threads as f64);
+                metrics.insert("churn_connections".into(), connections as f64);
                 rows.push(vec![
                     t0.variant.clone(),
                     s(connections),
                     s(format!("{rate:.0}")),
                     s(threads),
                     s("--"),
-                    s(if thread_per_agent {
-                        "one OS thread per connection"
-                    } else {
-                        "connections multiplexed over the shared executor"
-                    }),
+                    s("connections multiplexed over the shared executor"),
                 ]);
             }
         }
@@ -1865,11 +1854,7 @@ fn wire_trial(sc: &Scenario, t: &TrialSpec) -> Result<WireOutcome, String> {
     let unresolved = node.server.pending_host_txns().len() as u64;
     let atomicity_violations = leftovers + unresolved;
 
-    let executor_peak_threads = (node
-        .main_daemon()
-        .executor_stats()
-        .map(|s| s.peak_workers())
-        .unwrap_or_else(|| node.main_daemon().executor_threads())
+    let executor_peak_threads = (node.main_daemon().executor_stats().peak_workers()
         + wire.daemon.settle_stats().peak_workers()) as u64;
 
     // Snapshot while the surviving connections are still open, so the

@@ -226,9 +226,9 @@ fn numeric(cell: &str) -> Option<f64> {
 
 /// Reads one numeric cell out of a trajectory, addressed by row label
 /// (first cell) and column header name. The report binary's `--gate` mode
-/// uses this to compare one figure across two *different* tables (a12's
-/// in-process churn vs a14's wire churn), where a full [`compare`] would
-/// drown in missing-row noise.
+/// uses this to compare one figure across two rows (a14's in-process
+/// baseline vs its wire churn), where a full [`compare`] would drown in
+/// missing-row noise.
 pub fn read_cell(t: &Trajectory, row_label: &str, column: &str) -> Result<f64, String> {
     let row = t
         .rows

@@ -1094,11 +1094,7 @@ impl DataLinksSystem {
     /// keeps tracking the *current* incarnation's pools.
     fn adopt_node_pools(&self, name: &str) {
         let Some(node) = self.nodes.get(name) else { return };
-        let mut probes: Vec<Arc<dyn PoolProbe>> = vec![node.upcall.pool_probe()];
-        if let Some(exec) = node.main.executor_probe() {
-            probes.push(exec);
-        }
-        self.pool_roster.set(name, probes);
+        self.pool_roster.set(name, vec![node.upcall.pool_probe(), node.main.executor_probe()]);
         if node.dlfm_cfg.read_lane_auto {
             let roster = Arc::clone(&self.pool_roster);
             let floor = node.dlfm_cfg.read_lane_width.max(1);
@@ -1132,11 +1128,10 @@ impl DataLinksSystem {
             let main = node.main_daemon();
             set(format!("dlfm.{name}.agent_executor.connections"), main.child_count() as u64);
             set(format!("dlfm.{name}.agent_executor.threads"), main.executor_threads() as u64);
-            if let Some(exec) = main.executor_stats() {
-                set(format!("dlfm.{name}.agent_executor.queue_depth"), exec.queue_depth() as u64);
-                set(format!("dlfm.{name}.agent_executor.tasks"), exec.tasks());
-                set(format!("dlfm.{name}.agent_executor.panics"), exec.panics());
-            }
+            let exec = main.executor_stats();
+            set(format!("dlfm.{name}.agent_executor.queue_depth"), exec.queue_depth() as u64);
+            set(format!("dlfm.{name}.agent_executor.tasks"), exec.tasks());
+            set(format!("dlfm.{name}.agent_executor.panics"), exec.panics());
         }
         // `pool.total_workers` / `pool.total_queue_depth` are registered
         // as live gauge functions over the roster (see `assemble`), not

@@ -7,74 +7,120 @@
 //!
 //! The paper's shape — one thread per connection — collapses under the
 //! "millions of users" north star: N database connections would pin N OS
-//! threads per file server, nearly all of them idle. Since PR 5 the main
-//! daemon instead multiplexes every connection over one **shared agent
-//! executor** (an [`ElasticPool`] bounded by
-//! `DlfmConfig::agent_executor_threads`): an [`AgentHandle`] is a queue
-//! endpoint, not a thread, so 256 connections ride on a handful of
-//! workers. The paper's model survives as the
-//! `DlfmConfig::thread_per_agent` compat knob.
+//! threads per file server, nearly all of them idle. The main daemon
+//! instead multiplexes every connection over one **shared agent executor**
+//! (an [`ElasticPool`] bounded by `DlfmConfig::agent_executor_threads`):
+//! an [`AgentHandle`] is a queue endpoint, not a thread, so 256
+//! connections ride on a handful of workers. There is no per-connection
+//! thread mode: it bought nothing. On the a12 256-agent churn (2-core
+//! machine, three `lab --quick` runs) it served 2213 / 2029 / 2226 ops/s
+//! on 257 threads against the shared executor's 2174 / 2132 / 2237 ops/s
+//! on 16.
 //!
-//! Each child agent serves link/unlink requests and participates in the
-//! host transaction's 2PC; the DataLinks engine holds an [`AgentHandle`]
-//! per (connection, file server).
+//! Each agent operation has exactly one fenced handler here —
+//! `serve_link`, `serve_unlink`, `serve_prepare`, `serve_decide` —
+//! called by both the in-process [`AgentHandle`] and the wire daemon
+//! (`crate::wire`), which adds only its transport bookkeeping. The
+//! DataLinks engine holds one agent connection per (connection, file
+//! server) and enlists it in the host transaction's 2PC.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
-use crossbeam::channel::{bounded, unbounded, Sender};
+use crossbeam::channel::{bounded, Sender};
 
 use crate::modes::{ControlMode, OnUnlink};
-use crate::pool::{ElasticPool, PoolOptions, PoolStats};
+use crate::pool::{ElasticPool, Job, PoolOptions, PoolStats};
 use crate::server::DlfmServer;
 
-/// One unit of work on the shared agent executor. Local handles submit
-/// protocol requests; the wire daemon submits closures (a decoded frame
-/// plus its reply path), so socket connections multiplex over the *same*
-/// bounded pool as in-process ones — one capacity model, two transports.
-pub(crate) enum AgentJob {
-    Request(AgentRequest),
-    Wire(Box<dyn FnOnce() + Send>),
+/// Runs `op` under the coordinator fence with panic containment
+/// ([`crate::pool::deliver_or_rethrow`]): `reply` always gets the outcome,
+/// a panic's context included, before the panic is re-thrown for the pool
+/// to count — so a caller never mistakes a contained panic for a dead
+/// agent.
+fn fenced(
+    label: &str,
+    server: &DlfmServer,
+    coord_epoch: u64,
+    op: impl FnOnce() -> Result<(), String>,
+    reply: impl FnOnce(Result<(), String>),
+) {
+    crate::pool::deliver_or_rethrow(
+        label,
+        || {
+            server.guard_coordinator(coord_epoch)?;
+            op()
+        },
+        |outcome| reply(outcome.unwrap_or_else(|msg| Err(format!("agent {msg}")))),
+    );
 }
 
-pub(crate) enum AgentRequest {
-    Link {
-        host_txid: u64,
-        coord_epoch: u64,
-        path: String,
-        mode: ControlMode,
-        recovery: bool,
-        on_unlink: OnUnlink,
-        reply: Sender<Result<(), String>>,
-    },
-    Unlink {
-        host_txid: u64,
-        coord_epoch: u64,
-        path: String,
-        reply: Sender<Result<(), String>>,
-    },
-    Prepare {
-        host_txid: u64,
-        coord_epoch: u64,
-        reply: Sender<Result<(), String>>,
-    },
-    Commit {
-        host_txid: u64,
-        coord_epoch: u64,
-        reply: Sender<()>,
-    },
-    Abort {
-        host_txid: u64,
-        coord_epoch: u64,
-        reply: Sender<()>,
-    },
+/// Links `path` in the context of `host_txid` for a coordinator of
+/// generation `coord_epoch`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn serve_link(
+    server: &DlfmServer,
+    coord_epoch: u64,
+    host_txid: u64,
+    path: &str,
+    mode: ControlMode,
+    recovery: bool,
+    on_unlink: OnUnlink,
+    reply: impl FnOnce(Result<(), String>),
+) {
+    fenced(
+        "Link",
+        server,
+        coord_epoch,
+        || server.link_file(host_txid, path, mode, recovery, on_unlink),
+        reply,
+    );
 }
 
-/// Where a handle's requests go: a dedicated child-agent thread
-/// (`thread_per_agent`) or the shared executor pool.
+/// Unlinks `path` in the context of `host_txid`.
+pub(crate) fn serve_unlink(
+    server: &DlfmServer,
+    coord_epoch: u64,
+    host_txid: u64,
+    path: &str,
+    reply: impl FnOnce(Result<(), String>),
+) {
+    fenced("Unlink", server, coord_epoch, || server.unlink_file(host_txid, path), reply);
+}
+
+/// 2PC phase one for the sub-transaction of `host_txid`.
+pub(crate) fn serve_prepare(
+    server: &DlfmServer,
+    coord_epoch: u64,
+    host_txid: u64,
+    reply: impl FnOnce(Result<(), String>),
+) {
+    fenced("Prepare", server, coord_epoch, || server.prepare_host(host_txid), reply);
+}
+
+/// 2PC decision: commit or abort the sub-transaction of `host_txid`. A
+/// fenced coordinator's decision is dropped, not applied — the promoted
+/// host owns the outcome now. Not panic-contained: a failed commit after
+/// the coordinator's decision is an invariant break
+/// (`DlfmServer::commit_host` panics on purpose).
+pub(crate) fn serve_decide(server: &DlfmServer, coord_epoch: u64, host_txid: u64, commit: bool) {
+    if server.guard_coordinator(coord_epoch).is_err() {
+        return;
+    }
+    if commit {
+        server.commit_host(host_txid)
+    } else {
+        server.abort_host(host_txid)
+    }
+}
+
+/// Handle to a child agent. One per database connection per file server.
+/// The handle is stamped with the **coordinator epoch** current at connect
+/// time; every request carries it, so after a host failover raises the
+/// server's fence, traffic from handles minted under the deposed host is
+/// recognizably stale and refused (see `DlfmServer::fence_coordinator`).
 ///
-/// The executor route carries the server handle too: 2PC settlement
+/// Link/unlink run on the shared executor. 2PC settlement
 /// (prepare/commit/abort) runs *inline* on the coordinator's thread, never
 /// through the bounded pool. Queueing settlement would deadlock under
 /// contention — link/unlink handlers block on repository row locks until
@@ -84,36 +130,25 @@ pub(crate) enum AgentRequest {
 /// Inline settlement matches the close path's `PreparedTxnParticipant`,
 /// which already prepares/commits on the host's committing thread.
 #[derive(Clone)]
-enum AgentRoute {
-    Thread(Sender<AgentRequest>),
-    Executor { pool: Arc<ElasticPool<AgentJob>>, server: Arc<DlfmServer> },
-}
-
-impl AgentRoute {
-    fn send(&self, req: AgentRequest) -> Result<(), String> {
-        match self {
-            AgentRoute::Thread(tx) => tx.send(req).map_err(|_| "child agent is down".to_string()),
-            AgentRoute::Executor { pool, .. } => {
-                pool.submit(AgentJob::Request(req));
-                Ok(())
-            }
-        }
-    }
-}
-
-/// Handle to a child agent. One per database connection per file server.
-/// The handle is stamped with the **coordinator epoch** current at connect
-/// time; every request carries it, so after a host failover raises the
-/// server's fence, traffic from handles minted under the deposed host is
-/// recognizably stale and refused (see `DlfmServer::fence_coordinator`).
-#[derive(Clone)]
 pub struct AgentHandle {
-    route: AgentRoute,
+    executor: Arc<ElasticPool<Job>>,
+    server: Arc<DlfmServer>,
     server_name: String,
     coord_epoch: u64,
 }
 
 impl AgentHandle {
+    /// Runs `op` on the shared executor and waits for its reply.
+    fn call(
+        &self,
+        op: impl FnOnce(&DlfmServer, Sender<Result<(), String>>) + Send + 'static,
+    ) -> Result<(), String> {
+        let (reply, rx) = bounded(1);
+        let server = Arc::clone(&self.server);
+        self.executor.submit(Box::new(move || op(&server, reply)));
+        rx.recv().map_err(|_| "child agent is down".to_string())?
+    }
+
     /// Links a file in the context of `host_txid`.
     pub fn link(
         &self,
@@ -123,29 +158,22 @@ impl AgentHandle {
         recovery: bool,
         on_unlink: OnUnlink,
     ) -> Result<(), String> {
-        let (reply, rx) = bounded(1);
-        self.route.send(AgentRequest::Link {
-            host_txid,
-            coord_epoch: self.coord_epoch,
-            path: path.to_string(),
-            mode,
-            recovery,
-            on_unlink,
-            reply,
-        })?;
-        rx.recv().map_err(|_| "child agent is down".to_string())?
+        let (coord_epoch, path) = (self.coord_epoch, path.to_string());
+        self.call(move |server, reply| {
+            serve_link(server, coord_epoch, host_txid, &path, mode, recovery, on_unlink, |r| {
+                let _ = reply.send(r);
+            })
+        })
     }
 
     /// Unlinks a file in the context of `host_txid`.
     pub fn unlink(&self, host_txid: u64, path: &str) -> Result<(), String> {
-        let (reply, rx) = bounded(1);
-        self.route.send(AgentRequest::Unlink {
-            host_txid,
-            coord_epoch: self.coord_epoch,
-            path: path.to_string(),
-            reply,
-        })?;
-        rx.recv().map_err(|_| "child agent is down".to_string())?
+        let (coord_epoch, path) = (self.coord_epoch, path.to_string());
+        self.call(move |server, reply| {
+            serve_unlink(server, coord_epoch, host_txid, &path, |r| {
+                let _ = reply.send(r);
+            })
+        })
     }
 
     /// The file server this agent fronts.
@@ -161,60 +189,22 @@ impl AgentHandle {
 
 /// The agent participates in the host transaction's two-phase commit (the
 /// paper's "operations done in DLFM are treated as a sub-transaction of
-/// the host database transaction"). On the thread route the phases forward
-/// to the dedicated agent thread; on the executor route they run inline on
-/// the coordinator's thread — settlement must always make progress even
-/// when every pool worker is blocked on a row lock it is about to release
-/// (see the `AgentRoute` docs).
+/// the host database transaction"), inline on the coordinator's thread —
+/// settlement must always make progress even when every executor worker
+/// is blocked on a row lock it is about to release (see [`AgentHandle`]).
 impl dl_minidb::Participant for AgentHandle {
     fn prepare(&self, txid: u64) -> Result<(), String> {
-        if let AgentRoute::Executor { server, .. } = &self.route {
-            server.guard_coordinator(self.coord_epoch)?;
-            return server.prepare_host(txid);
-        }
-        let (reply, rx) = bounded(1);
-        self.route.send(AgentRequest::Prepare {
-            host_txid: txid,
-            coord_epoch: self.coord_epoch,
-            reply,
-        })?;
-        rx.recv().map_err(|_| "child agent is down".to_string())?
+        let mut vote = None;
+        serve_prepare(&self.server, self.coord_epoch, txid, |r| vote = Some(r));
+        vote.expect("serve_prepare always replies")
     }
 
     fn commit(&self, txid: u64) {
-        if let AgentRoute::Executor { server, .. } = &self.route {
-            // A fenced coordinator's decision is dropped, not applied: the
-            // promoted host owns this transaction's outcome now.
-            if server.guard_coordinator(self.coord_epoch).is_err() {
-                return;
-            }
-            return server.commit_host(txid);
-        }
-        let (reply, rx) = bounded(1);
-        if self
-            .route
-            .send(AgentRequest::Commit { host_txid: txid, coord_epoch: self.coord_epoch, reply })
-            .is_ok()
-        {
-            let _ = rx.recv();
-        }
+        serve_decide(&self.server, self.coord_epoch, txid, true)
     }
 
     fn abort(&self, txid: u64) {
-        if let AgentRoute::Executor { server, .. } = &self.route {
-            if server.guard_coordinator(self.coord_epoch).is_err() {
-                return;
-            }
-            return server.abort_host(txid);
-        }
-        let (reply, rx) = bounded(1);
-        if self
-            .route
-            .send(AgentRequest::Abort { host_txid: txid, coord_epoch: self.coord_epoch, reply })
-            .is_ok()
-        {
-            let _ = rx.recv();
-        }
+        serve_decide(&self.server, self.coord_epoch, txid, false)
     }
 }
 
@@ -303,136 +293,40 @@ impl dl_minidb::Participant for AgentParticipant {
     }
 }
 
-/// The main daemon: accepts connections. With the shared executor (the
-/// default) a connect is a queue registration; with `thread_per_agent` it
-/// spawns the paper's dedicated child-agent thread.
+/// The main daemon: accepts connections. A connect is a queue
+/// registration on the shared executor, not a thread.
 pub struct MainDaemon {
     server: Arc<DlfmServer>,
-    /// Shared executor, lazily irrelevant in thread-per-agent mode.
-    executor: Option<Arc<ElasticPool<AgentJob>>>,
-    children: parking_lot::Mutex<Vec<JoinHandle<()>>>,
+    executor: Arc<ElasticPool<Job>>,
     connections: AtomicUsize,
-}
-
-/// Answers a `Result`-replied agent request through the shared
-/// panic-containment helper ([`crate::pool::deliver_or_rethrow`]): the
-/// caller gets the panic context in-band instead of a dropped reply
-/// channel mis-reporting a healthy executor as "child agent is down". The
-/// panic is then re-thrown — the executor pool counts it and keeps its
-/// worker; a dedicated agent thread dies with it (the paper's child-agent
-/// failure model, now with a labelled reply).
-fn answer(reply: &Sender<Result<(), String>>, label: &str, f: impl FnOnce() -> Result<(), String>) {
-    crate::pool::deliver_or_rethrow(label, f, |outcome| {
-        let result = match outcome {
-            Ok(inner) => inner,
-            Err(msg) => Err(format!("agent {msg}")),
-        };
-        let _ = reply.send(result);
-    });
-}
-
-/// Runs one agent request against the server. Link/unlink/prepare panics
-/// are answered in-band (see [`answer`]); `Commit` panics stay loud by
-/// design (a failed commit after the coordinator's decision is an
-/// invariant break — `DlfmServer::commit_host` panics on purpose), so
-/// their reply sender is dropped mid-unwind and the caller unblocks on
-/// the closed channel.
-fn serve(server: &DlfmServer, req: AgentRequest) {
-    match req {
-        AgentRequest::Link { host_txid, coord_epoch, path, mode, recovery, on_unlink, reply } => {
-            answer(&reply, "Link", || {
-                server.guard_coordinator(coord_epoch)?;
-                server.link_file(host_txid, &path, mode, recovery, on_unlink)
-            });
-        }
-        AgentRequest::Unlink { host_txid, coord_epoch, path, reply } => {
-            answer(&reply, "Unlink", || {
-                server.guard_coordinator(coord_epoch)?;
-                server.unlink_file(host_txid, &path)
-            });
-        }
-        AgentRequest::Prepare { host_txid, coord_epoch, reply } => {
-            answer(&reply, "Prepare", || {
-                server.guard_coordinator(coord_epoch)?;
-                server.prepare_host(host_txid)
-            });
-        }
-        AgentRequest::Commit { host_txid, coord_epoch, reply } => {
-            // A fenced coordinator's decision is dropped, not applied (the
-            // promoted host owns the outcome); the reply still unblocks
-            // the zombie's committing thread.
-            if server.guard_coordinator(coord_epoch).is_ok() {
-                server.commit_host(host_txid);
-            }
-            let _ = reply.send(());
-        }
-        AgentRequest::Abort { host_txid, coord_epoch, reply } => {
-            if server.guard_coordinator(coord_epoch).is_ok() {
-                server.abort_host(host_txid);
-            }
-            let _ = reply.send(());
-        }
-    }
 }
 
 impl MainDaemon {
     pub fn new(server: Arc<DlfmServer>) -> MainDaemon {
         let cfg = server.config();
-        let executor = if cfg.thread_per_agent {
-            None
-        } else {
-            let opts = PoolOptions::adaptive(
-                &format!("dlfm-agent-{}", cfg.server_name),
-                1,
-                cfg.agent_executor_threads.max(1),
-            );
-            let srv = Arc::clone(&server);
-            let handler: Arc<dyn Fn(AgentJob) + Send + Sync> = Arc::new(move |job| match job {
-                AgentJob::Request(req) => serve(&srv, req),
-                AgentJob::Wire(f) => f(),
-            });
-            Some(Arc::new(ElasticPool::new(opts, handler)))
-        };
-        MainDaemon {
-            server,
-            executor,
-            children: parking_lot::Mutex::new(Vec::new()),
-            connections: AtomicUsize::new(0),
-        }
+        let opts = PoolOptions::adaptive(
+            &format!("dlfm-agent-{}", cfg.server_name),
+            1,
+            cfg.agent_executor_threads.max(1),
+        );
+        let executor = Arc::new(ElasticPool::new(opts, Arc::new(|job: Job| job())));
+        MainDaemon { server, executor, connections: AtomicUsize::new(0) }
     }
 
     /// Handles a connect request from a database agent: registers the
-    /// connection on the shared executor (or, in `thread_per_agent` mode,
-    /// spawns a dedicated child-agent thread) and returns its handle.
+    /// connection on the shared executor and returns its handle.
     pub fn connect(&self) -> AgentHandle {
         self.connections.fetch_add(1, Ordering::Relaxed);
-        let name = self.server.config().server_name.clone();
-        // The handle inherits the coordinator epoch current right now: a
-        // handle minted before a host failover keeps the old epoch and is
-        // fenced out; re-connecting after promotion picks up the new one.
-        let coord_epoch = self.server.coordinator_epoch();
-        if let Some(pool) = &self.executor {
-            return AgentHandle {
-                route: AgentRoute::Executor {
-                    pool: Arc::clone(pool),
-                    server: Arc::clone(&self.server),
-                },
-                server_name: name,
-                coord_epoch,
-            };
+        AgentHandle {
+            executor: Arc::clone(&self.executor),
+            server: Arc::clone(&self.server),
+            server_name: self.server.config().server_name.clone(),
+            // The handle inherits the coordinator epoch current right now:
+            // a handle minted before a host failover keeps the old epoch
+            // and is fenced out; re-connecting after promotion picks up
+            // the new one.
+            coord_epoch: self.server.coordinator_epoch(),
         }
-        let (tx, rx) = unbounded::<AgentRequest>();
-        let server = Arc::clone(&self.server);
-        let handle = std::thread::Builder::new()
-            .name(format!("dlfm-agent-{name}"))
-            .spawn(move || {
-                while let Ok(req) = rx.recv() {
-                    serve(&server, req);
-                }
-            })
-            .expect("spawn child agent");
-        self.children.lock().push(handle);
-        AgentHandle { route: AgentRoute::Thread(tx), server_name: name, coord_epoch }
     }
 
     /// Number of agent connections accepted so far (logical child agents).
@@ -441,34 +335,25 @@ impl MainDaemon {
     }
 
     /// OS threads currently serving agent requests: the executor pool's
-    /// live worker count, or — per-agent — the count of dedicated threads
-    /// still running (a dropped handle closes its channel and the thread
-    /// exits, so exited children are pruned before counting).
+    /// live worker count.
     pub fn executor_threads(&self) -> usize {
-        match &self.executor {
-            Some(pool) => pool.stats().workers(),
-            None => {
-                let mut children = self.children.lock();
-                children.retain(|h| !h.is_finished());
-                children.len()
-            }
-        }
+        self.executor.stats().workers()
     }
 
-    /// Shared-executor gauges; `None` in `thread_per_agent` mode.
-    pub fn executor_stats(&self) -> Option<&PoolStats> {
-        self.executor.as_deref().map(|pool| pool.stats())
+    /// Shared-executor gauges.
+    pub fn executor_stats(&self) -> &PoolStats {
+        self.executor.stats()
     }
 
     /// Type-erased live size of the shared executor, for capacity
-    /// aggregation (`None` in `thread_per_agent` mode).
-    pub fn executor_probe(&self) -> Option<Arc<dyn crate::pool::PoolProbe>> {
-        self.executor.as_ref().map(|p| Arc::clone(p) as Arc<dyn crate::pool::PoolProbe>)
+    /// aggregation.
+    pub fn executor_probe(&self) -> Arc<dyn crate::pool::PoolProbe> {
+        Arc::clone(&self.executor) as Arc<dyn crate::pool::PoolProbe>
     }
 
     /// The shared executor itself, for the wire daemon to submit decoded
     /// frames onto.
-    pub(crate) fn wire_executor(&self) -> Option<Arc<ElasticPool<AgentJob>>> {
-        self.executor.as_ref().map(Arc::clone)
+    pub(crate) fn wire_executor(&self) -> Arc<ElasticPool<Job>> {
+        Arc::clone(&self.executor)
     }
 }

@@ -14,9 +14,9 @@
 //! * [`upcall`] — the upcall daemon servicing DLFS (§2.2) over channels,
 //!   standing in for the kernel↔user-space IPC of the original.
 //! * [`agent`] — the main daemon and child agents serving link/unlink
-//!   requests from database agents (§2.2), multiplexed over a shared
-//!   executor since PR 5 (one thread per connection survives as the
-//!   `thread_per_agent` compat knob).
+//!   requests from database agents (§2.2), multiplexed over one shared
+//!   executor, and the one fenced handler per agent operation that the
+//!   in-process and wire transports share.
 //! * [`pool`] — the elastic worker pool behind both the upcall daemon and
 //!   the agent executor: queue-depth growth, idle shrink, panic
 //!   containment.

@@ -32,6 +32,10 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
+/// The task type of the closure-running pools: the agent executor and the
+/// wire daemon's settle pool.
+pub(crate) type Job = Box<dyn FnOnce() + Send>;
+
 /// Sizing and naming of one [`ElasticPool`].
 #[derive(Debug, Clone)]
 pub struct PoolOptions {

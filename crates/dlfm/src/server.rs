@@ -76,13 +76,9 @@ pub struct DlfmConfig {
     /// worker retires; stretched automatically with observed service time
     /// (see `crates/dlfm/src/pool.rs`).
     pub upcall_idle_ms: u64,
-    /// Compat knob: run one OS thread per agent connection (the paper's
-    /// child-agent model) instead of multiplexing connections over the
-    /// shared agent executor.
-    pub thread_per_agent: bool,
     /// Ceiling of the shared agent executor that serves all agent
-    /// connections when `thread_per_agent` is off. 256 connections
-    /// multiplex over at most this many OS threads.
+    /// connections. 256 connections multiplex over at most this many OS
+    /// threads.
     pub agent_executor_threads: usize,
     /// Concurrent routed-read validations the DataLinks engine may run
     /// against this node (its per-node `ReadLane` width). The default of 1
@@ -121,7 +117,6 @@ impl DlfmConfig {
             upcall_workers_min: 2,
             upcall_workers_max: 64,
             upcall_idle_ms: 100,
-            thread_per_agent: false,
             agent_executor_threads: 16,
             read_lane_width: 1,
             read_lane_auto: false,

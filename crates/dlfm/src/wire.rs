@@ -13,6 +13,10 @@
 //!   agent executor: settlement queued behind lock-waiting link jobs is
 //!   the classic bounded-executor deadlock, see `crate::agent`).
 //!   Thousands of connections therefore ride on a fixed thread count.
+//!   Link, unlink, prepare and decide run the same fenced handlers as the
+//!   in-process path (`crate::agent::serve_*`); this module adds only the
+//!   transport's bookkeeping: tombstones, in-flight host transactions per
+//!   connection, and the reply frame.
 //! * [`WireConnector`] / [`WireConn`] — the client. One reactor
 //!   multiplexes any number of outbound connections; each call is a
 //!   request-id-correlated frame round-trip.
@@ -38,9 +42,11 @@ use dl_net::{Message, NetEvent, Reactor, ReactorHandle};
 use dl_obs::{Counter, NetStats};
 use parking_lot::Mutex;
 
-use crate::agent::{AgentConnection, AgentJob, MainDaemon};
+use crate::agent::{
+    serve_decide, serve_link, serve_prepare, serve_unlink, AgentConnection, MainDaemon,
+};
 use crate::modes::{ControlMode, OnUnlink};
-use crate::pool::{ElasticPool, PoolOptions, PoolStats};
+use crate::pool::{ElasticPool, Job, PoolOptions, PoolStats};
 use crate::server::{DlfmServer, OpenDecision};
 use crate::token::TokenKind;
 use crate::upcall::{UpcallClient, UpcallReply, UpcallRequest, UpcallTransport};
@@ -128,16 +134,15 @@ pub struct WireDaemon {
     /// 2PC settlement + disconnect resolution. Small and dedicated: these
     /// jobs must make progress even when every agent-executor worker
     /// blocks on a row lock only a settlement can release.
-    settle: Arc<ElasticPool<Box<dyn FnOnce() + Send>>>,
+    settle: Arc<ElasticPool<Job>>,
     presumed_aborts: Arc<Counter>,
     stats: Arc<NetStats>,
 }
 
 impl WireDaemon {
     /// Binds the node's wire socket and starts serving. Frames route to
-    /// `main`'s shared agent executor (or a private one in
-    /// `thread_per_agent` mode), `upcall`'s elastic pool, and a dedicated
-    /// settle pool; `stats` sees every connection and frame.
+    /// `main`'s shared agent executor, `upcall`'s elastic pool, and a
+    /// dedicated settle pool; `stats` sees every connection and frame.
     pub fn spawn(
         server: Arc<DlfmServer>,
         main: &MainDaemon,
@@ -155,55 +160,25 @@ impl WireDaemon {
         let listener = std::os::unix::net::UnixListener::bind(&path)
             .map_err(|e| format!("bind wire socket {}: {e}", path.display()))?;
 
-        let executor = main.wire_executor().unwrap_or_else(|| {
-            // thread_per_agent mode has no shared executor; the wire
-            // daemon still multiplexes — that is its whole point — so it
-            // brings its own pool with the same bounds.
-            let cfg = server.config();
-            let opts = PoolOptions::adaptive(
-                &format!("dlfm-wire-agent-{name}"),
-                1,
-                cfg.agent_executor_threads.max(1),
-            );
-            let handler: Arc<dyn Fn(AgentJob) + Send + Sync> = Arc::new(|job| {
-                if let AgentJob::Wire(f) = job {
-                    f()
-                }
-            });
-            Arc::new(ElasticPool::new(opts, handler))
-        });
-        let settle: Arc<ElasticPool<Box<dyn FnOnce() + Send>>> = Arc::new(ElasticPool::new(
+        let settle = Arc::new(ElasticPool::new(
             PoolOptions::fixed(&format!("dlfm-settle-{name}"), 4),
-            Arc::new(|f: Box<dyn FnOnce() + Send>| f()),
+            Arc::new(|job: Job| job()),
         ));
         let presumed_aborts = Arc::new(Counter::new());
-
-        // Host transactions each connection still has in flight, and the
-        // tombstones of connections already torn down. Both are touched
-        // from the reactor thread and the pools; the maps are the
-        // serialization point.
-        let inflight: Arc<Mutex<HashMap<u64, HashSet<u64>>>> = Arc::new(Mutex::new(HashMap::new()));
-        let dead: Arc<Mutex<HashSet<u64>>> = Arc::new(Mutex::new(HashSet::new()));
-
         let reactor = {
-            let server = Arc::clone(&server);
-            let settle = Arc::clone(&settle);
-            let presumed_aborts = Arc::clone(&presumed_aborts);
+            let (settle, presumed_aborts) = (Arc::clone(&settle), Arc::clone(&presumed_aborts));
             Reactor::spawn(&format!("wire-{name}"), Some(listener), Arc::clone(&stats), |h| {
-                let h = h.clone();
-                move |ev| {
-                    serve_event(
-                        ev,
-                        &h,
-                        &server,
-                        &executor,
-                        &settle,
-                        &upcall,
-                        &inflight,
-                        &dead,
-                        &presumed_aborts,
-                    )
-                }
+                let front = Arc::new(Front {
+                    h: h.clone(),
+                    server,
+                    executor: main.wire_executor(),
+                    settle,
+                    upcall,
+                    inflight: Mutex::new(HashMap::new()),
+                    dead: Mutex::new(HashSet::new()),
+                    presumed_aborts,
+                });
+                move |ev| serve_event(&front, ev)
             })
             .map_err(|e| format!("spawn wire reactor: {e}"))?
         };
@@ -239,32 +214,39 @@ impl Drop for WireDaemon {
     }
 }
 
-/// One reactor event on the server: route a frame to the right pool, or
-/// sweep a dead connection's transactions.
-#[allow(clippy::too_many_arguments)]
-fn serve_event(
-    ev: NetEvent,
-    h: &ReactorHandle,
-    server: &Arc<DlfmServer>,
-    executor: &Arc<ElasticPool<AgentJob>>,
-    settle: &Arc<ElasticPool<Box<dyn FnOnce() + Send>>>,
-    upcall: &UpcallClient,
-    inflight: &Arc<Mutex<HashMap<u64, HashSet<u64>>>>,
-    dead: &Arc<Mutex<HashSet<u64>>>,
-    presumed_aborts: &Arc<Counter>,
-) {
+/// The server's event handler: which pool each frame runs on, and the
+/// transport's own bookkeeping around the fenced agent handlers of
+/// `crate::agent` — dead-connection tombstones, per-connection in-flight
+/// host transactions, and the reply frame.
+struct Front {
+    h: ReactorHandle,
+    server: Arc<DlfmServer>,
+    executor: Arc<ElasticPool<Job>>,
+    settle: Arc<ElasticPool<Job>>,
+    upcall: UpcallClient,
+    /// Host transactions each connection still has in flight. Touched
+    /// from the reactor thread and the pools; the map is the
+    /// serialization point.
+    inflight: Mutex<HashMap<u64, HashSet<u64>>>,
+    /// Tombstones of connections already torn down.
+    dead: Mutex<HashSet<u64>>,
+    presumed_aborts: Arc<Counter>,
+}
+
+/// One reactor event: route a frame to the right pool, or sweep a dead
+/// connection's transactions.
+fn serve_event(front: &Arc<Front>, ev: NetEvent) {
     let (conn, rid, msg) = match ev {
         NetEvent::Accepted(_) => return,
         NetEvent::Disconnected(conn) => {
             // Tombstone first: any queued or future job for this
             // connection must see it before deciding to apply work.
-            dead.lock().insert(conn);
-            let txids: Vec<u64> =
-                inflight.lock().remove(&conn).map(|s| s.into_iter().collect()).unwrap_or_default();
+            front.dead.lock().insert(conn);
+            let txids = front.inflight.lock().remove(&conn).unwrap_or_default();
             if !txids.is_empty() {
-                let server = Arc::clone(server);
-                let presumed_aborts = Arc::clone(presumed_aborts);
-                settle.submit(Box::new(move || {
+                let (server, presumed_aborts) =
+                    (Arc::clone(&front.server), Arc::clone(&front.presumed_aborts));
+                front.settle.submit(Box::new(move || {
                     for txid in txids {
                         if !server.resolve_client_loss(txid) {
                             presumed_aborts.inc();
@@ -276,168 +258,67 @@ fn serve_event(
         }
         NetEvent::Frame { conn, request_id, msg } => (conn, request_id, msg),
     };
+    let h = &front.h;
 
     match msg {
-        // --- session, served inline on the reactor thread (cheap) -------
+        // --- session, served inline on the reactor thread (cheap) ---
         Message::Hello { client: _ } => {
-            let cfg = server.config();
+            let cfg = front.server.config();
             h.send(
                 conn,
                 rid,
                 &Message::HelloAck {
                     server: cfg.server_name.clone(),
-                    coord_epoch: server.coordinator_epoch(),
+                    coord_epoch: front.server.coordinator_epoch(),
                     strict_link: cfg.strict_link,
                     dlfm_uid: cfg.dlfm_cred.uid,
                     dlfm_gid: cfg.dlfm_cred.gid,
                 },
             );
         }
-        Message::EpochGet => h.send(conn, rid, &Message::EpochIs(server.epoch())),
+        Message::EpochGet => h.send(conn, rid, &Message::EpochIs(front.server.epoch())),
         Message::FreshnessToken => {
-            h.send(conn, rid, &Message::Freshness(server.repository().db().durable_lsn()))
+            h.send(conn, rid, &Message::Freshness(front.server.repository().db().durable_lsn()))
         }
 
-        // --- link/unlink, on the shared agent executor -------------------
+        // --- link/unlink, on the shared agent executor ---------------
         Message::Link { txid, coord_epoch, path, mode, recovery, on_unlink } => {
             let (Some(mode), Some(on_unlink)) = (mode_from_u8(mode), on_unlink_from_u8(on_unlink))
             else {
                 h.send(conn, rid, &Message::Err("bad mode/on_unlink discriminant".into()));
                 return;
             };
-            inflight.lock().entry(conn).or_default().insert(txid);
-            let (h, server, dead) = (h.clone(), Arc::clone(server), Arc::clone(dead));
-            executor.submit(AgentJob::Wire(Box::new(move || {
-                if dead.lock().contains(&conn) {
-                    return;
-                }
-                let srv = &server;
-                crate::pool::deliver_or_rethrow(
-                    "WireLink",
-                    || {
-                        srv.guard_coordinator(coord_epoch)?;
-                        srv.link_file(txid, &path, mode, recovery, on_unlink)
-                    },
-                    |outcome| {
-                        let result = match outcome {
-                            Ok(inner) => inner,
-                            Err(msg) => Err(format!("agent {msg}")),
-                        };
-                        if dead.lock().contains(&conn) {
-                            // The connection died while we linked: the
-                            // disconnect sweep may have run before this
-                            // sub-transaction existed. Settle it here —
-                            // presumed abort, same as the sweep.
-                            if result.is_ok() {
-                                srv.abort_host(txid);
-                            }
-                            return;
-                        }
-                        h.send(conn, rid, &result_msg(result));
-                    },
-                );
-            })));
+            front.on_executor(conn, rid, txid, move |srv, reply| {
+                serve_link(srv, coord_epoch, txid, &path, mode, recovery, on_unlink, reply)
+            });
         }
         Message::Unlink { txid, coord_epoch, path } => {
-            inflight.lock().entry(conn).or_default().insert(txid);
-            let (h, server, dead) = (h.clone(), Arc::clone(server), Arc::clone(dead));
-            executor.submit(AgentJob::Wire(Box::new(move || {
-                if dead.lock().contains(&conn) {
-                    return;
-                }
-                let srv = &server;
-                crate::pool::deliver_or_rethrow(
-                    "WireUnlink",
-                    || {
-                        srv.guard_coordinator(coord_epoch)?;
-                        srv.unlink_file(txid, &path)
-                    },
-                    |outcome| {
-                        let result = match outcome {
-                            Ok(inner) => inner,
-                            Err(msg) => Err(format!("agent {msg}")),
-                        };
-                        if dead.lock().contains(&conn) {
-                            if result.is_ok() {
-                                srv.abort_host(txid);
-                            }
-                            return;
-                        }
-                        h.send(conn, rid, &result_msg(result));
-                    },
-                );
-            })));
+            front.on_executor(conn, rid, txid, move |srv, reply| {
+                serve_unlink(srv, coord_epoch, txid, &path, reply)
+            });
         }
 
-        // --- 2PC settlement, on the dedicated settle pool ----------------
-        Message::Prepare { txid, coord_epoch } => {
-            inflight.lock().entry(conn).or_default().insert(txid);
-            let (h, server, dead) = (h.clone(), Arc::clone(server), Arc::clone(dead));
-            settle.submit(Box::new(move || {
-                let srv = &server;
-                crate::pool::deliver_or_rethrow(
-                    "WirePrepare",
-                    || {
-                        srv.guard_coordinator(coord_epoch)?;
-                        srv.prepare_host(txid)
-                    },
-                    |outcome| {
-                        let result = match outcome {
-                            Ok(inner) => inner,
-                            Err(msg) => Err(format!("agent {msg}")),
-                        };
-                        if !dead.lock().contains(&conn) {
-                            h.send(conn, rid, &result_msg(result));
-                        }
-                    },
-                );
-            }));
-        }
-        Message::Commit { txid, coord_epoch } => {
-            let (h, server, dead, inflight) =
-                (h.clone(), Arc::clone(server), Arc::clone(dead), Arc::clone(inflight));
-            settle.submit(Box::new(move || {
-                // A fenced coordinator's decision is dropped, not applied
-                // (the promoted host owns the outcome now); the reply
-                // still unblocks the caller — same as the local route.
-                if server.guard_coordinator(coord_epoch).is_ok() {
-                    server.commit_host(txid);
-                }
-                if let Some(set) = inflight.lock().get_mut(&conn) {
-                    set.remove(&txid);
-                }
-                if !dead.lock().contains(&conn) {
-                    h.send(conn, rid, &Message::Ok);
-                }
-            }));
-        }
-        Message::Abort { txid, coord_epoch } => {
-            let (h, server, dead, inflight) =
-                (h.clone(), Arc::clone(server), Arc::clone(dead), Arc::clone(inflight));
-            settle.submit(Box::new(move || {
-                if server.guard_coordinator(coord_epoch).is_ok() {
-                    server.abort_host(txid);
-                }
-                if let Some(set) = inflight.lock().get_mut(&conn) {
-                    set.remove(&txid);
-                }
-                if !dead.lock().contains(&conn) {
-                    h.send(conn, rid, &Message::Ok);
-                }
-            }));
-        }
+        // --- 2PC settlement, on the dedicated settle pool ------------
+        Message::Prepare { txid, coord_epoch } => front.prepare(conn, rid, txid, coord_epoch),
+        Message::Commit { txid, coord_epoch } => front.decide(conn, rid, txid, coord_epoch, true),
+        Message::Abort { txid, coord_epoch } => front.decide(conn, rid, txid, coord_epoch, false),
 
-        // --- upcalls, on the elastic upcall pool -------------------------
+        // --- upcalls, on the elastic upcall pool ---------------------
         Message::ValidateToken { path, token, uid } => {
             let h = h.clone();
-            upcall.submit_with(UpcallRequest::ValidateToken { path, token, uid }, move |rep| {
-                let msg = match rep {
-                    UpcallReply::TokenValid(kind) => Message::TokenKindIs(token_kind_to_u8(kind)),
-                    UpcallReply::Rejected(e) => Message::Err(e),
-                    other => Message::Err(format!("unexpected reply {other:?}")),
-                };
-                h.send(conn, rid, &msg);
-            });
+            front.upcall.submit_with(
+                UpcallRequest::ValidateToken { path, token, uid },
+                move |rep| {
+                    let msg = match rep {
+                        UpcallReply::TokenValid(kind) => {
+                            Message::TokenKindIs(token_kind_to_u8(kind))
+                        }
+                        UpcallReply::Rejected(e) => Message::Err(e),
+                        other => Message::Err(format!("unexpected reply {other:?}")),
+                    };
+                    h.send(conn, rid, &msg);
+                },
+            );
         }
         Message::OpenCheck { path, uid, wanted, opener } => {
             let Some(wanted) = token_kind_from_u8(wanted) else {
@@ -445,7 +326,7 @@ fn serve_event(
                 return;
             };
             let h = h.clone();
-            upcall.submit_with(
+            front.upcall.submit_with(
                 UpcallRequest::OpenCheck { path, uid, wanted, opener },
                 move |rep| {
                     let msg = match rep {
@@ -464,7 +345,7 @@ fn serve_event(
         }
         Message::CloseNotify { path, opener, wrote, size, mtime } => {
             let h = h.clone();
-            upcall.submit_with(
+            front.upcall.submit_with(
                 UpcallRequest::CloseNotify { path, opener, wrote, size, mtime },
                 move |rep| {
                     let msg = match rep {
@@ -478,7 +359,7 @@ fn serve_event(
         }
         Message::MutationCheck { path } => {
             let h = h.clone();
-            upcall.submit_with(UpcallRequest::MutationCheck { path }, move |rep| {
+            front.upcall.submit_with(UpcallRequest::MutationCheck { path }, move |rep| {
                 let msg = match rep {
                     UpcallReply::Ok => Message::Ok,
                     UpcallReply::Rejected(e) => Message::Err(e),
@@ -489,14 +370,16 @@ fn serve_event(
         }
         Message::RegisterOpen { path, uid, opener } => {
             let h = h.clone();
-            upcall.submit_with(UpcallRequest::RegisterOpen { path, uid, opener }, move |_rep| {
-                h.send(conn, rid, &Message::Ok);
-            });
+            front
+                .upcall
+                .submit_with(UpcallRequest::RegisterOpen { path, uid, opener }, move |_rep| {
+                    h.send(conn, rid, &Message::Ok)
+                });
         }
         Message::UnregisterOpen { path, opener } => {
             let h = h.clone();
-            upcall.submit_with(UpcallRequest::UnregisterOpen { path, opener }, move |_rep| {
-                h.send(conn, rid, &Message::Ok);
+            front.upcall.submit_with(UpcallRequest::UnregisterOpen { path, opener }, move |_rep| {
+                h.send(conn, rid, &Message::Ok)
             });
         }
 
@@ -504,6 +387,73 @@ fn serve_event(
         other => {
             h.send(conn, rid, &Message::Err(format!("unexpected message {other:?}")));
         }
+    }
+}
+
+impl Front {
+    /// Sends a reply frame unless the connection is already gone.
+    fn reply(&self, conn: u64, rid: u64, msg: &Message) {
+        if !self.dead.lock().contains(&conn) {
+            self.h.send(conn, rid, msg);
+        }
+    }
+
+    /// Queues a link/unlink of `txid` on the shared agent executor. Work
+    /// queued for a connection that has since died is skipped. A
+    /// sub-transaction the handler opened after its connection died is
+    /// settled here, by presumed abort: the disconnect sweep may have run
+    /// before it existed.
+    fn on_executor(
+        self: &Arc<Self>,
+        conn: u64,
+        rid: u64,
+        txid: u64,
+        op: impl FnOnce(&DlfmServer, Box<dyn FnOnce(Result<(), String>) + '_>) + Send + 'static,
+    ) {
+        self.inflight.lock().entry(conn).or_default().insert(txid);
+        let front = Arc::clone(self);
+        self.executor.submit(Box::new(move || {
+            if front.dead.lock().contains(&conn) {
+                return;
+            }
+            op(
+                &front.server,
+                Box::new(|result| {
+                    if front.dead.lock().contains(&conn) {
+                        if result.is_ok() {
+                            front.server.abort_host(txid);
+                        }
+                        return;
+                    }
+                    front.h.send(conn, rid, &result_msg(result));
+                }),
+            );
+        }));
+    }
+
+    /// Queues a 2PC prepare of `txid` on the settle pool.
+    fn prepare(self: &Arc<Self>, conn: u64, rid: u64, txid: u64, coord_epoch: u64) {
+        self.inflight.lock().entry(conn).or_default().insert(txid);
+        let front = Arc::clone(self);
+        self.settle.submit(Box::new(move || {
+            serve_prepare(&front.server, coord_epoch, txid, |result| {
+                front.reply(conn, rid, &result_msg(result))
+            })
+        }));
+    }
+
+    /// Queues a 2PC decision on the settle pool. The reply still unblocks
+    /// a fenced caller whose decision was dropped — same as the local
+    /// route.
+    fn decide(self: &Arc<Self>, conn: u64, rid: u64, txid: u64, coord_epoch: u64, commit: bool) {
+        let front = Arc::clone(self);
+        self.settle.submit(Box::new(move || {
+            serve_decide(&front.server, coord_epoch, txid, commit);
+            if let Some(set) = front.inflight.lock().get_mut(&conn) {
+                set.remove(&txid);
+            }
+            front.reply(conn, rid, &Message::Ok);
+        }));
     }
 }
 

@@ -1,8 +1,9 @@
-//! Front-end saturation scenarios (PR 5): the elastic upcall pool under
-//! bursty load, agent connect/disconnect storms over the shared executor,
+//! Front-end saturation scenarios: the elastic upcall pool under bursty
+//! load, agent connect/disconnect storms over the shared executor,
 //! and a property test that interleaves strict-link registration with the
 //! managed open/close protocol asserting no opener claim ever leaks.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -11,7 +12,7 @@ use proptest::prelude::*;
 use datalinks::core::{DataLinksSystem, DlColumnOptions, FileServerSpec};
 use datalinks::dlfm::{
     AccessToken, ArchiveStore, ControlMode, DlfmConfig, DlfmServer, OnUnlink, OpenDecision,
-    TokenKind, UpcallDaemon,
+    TokenKind, Transport, UpcallDaemon, WireAgent,
 };
 use datalinks::fskit::{Clock, Cred, FileSystem, Lfs, MemFs, SimClock};
 use datalinks::minidb::{Column, ColumnType, Participant, Schema, StorageEnv};
@@ -165,7 +166,7 @@ fn agent_churn_storm_runs_on_a_bounded_executor() {
     // One connection per round (plus the engine's own), far fewer threads.
     let main = node.main_daemon();
     assert_eq!(main.child_count(), STORMERS * ROUNDS + 1);
-    let stats = main.executor_stats().expect("shared executor is the default");
+    let stats = main.executor_stats();
     assert!(
         stats.peak_workers() <= node.server.config().agent_executor_threads,
         "executor must never exceed its bound (peaked at {})",
@@ -195,67 +196,88 @@ fn many_idle_connections_cost_no_threads() {
 
 /// Regression (PR 5 review): link/unlink handlers block on repository row
 /// locks until the holding transaction settles, so 2PC settlement must
-/// run inline on the coordinator's thread — queued behind a bounded pool
-/// full of lock-waiting link requests, the one commit that would release
-/// them all starves and every connection hangs. A 2-worker executor with
-/// 8 threads fighting over one path deadlocked before the fix; now it
-/// must drain.
+/// never queue behind them on the bounded executor — queued there, the one
+/// commit that would release every lock-waiting link starves and every
+/// connection hangs. The in-process handle settles inline on the
+/// coordinator's thread; the wire daemon settles on its own settle pool.
+/// A 2-worker executor with 8 threads fighting over one path deadlocked
+/// before the fix; on both transports it must now drain before the
+/// deadline, so a regression fails here instead of hanging the suite.
 #[test]
 fn contended_same_path_churn_cannot_deadlock_the_bounded_executor() {
-    let mut spec = FileServerSpec::new(SRV);
+    for transport in [Transport::Local, Transport::Socket] {
+        contended_same_path_churn(transport);
+    }
+}
+
+fn contended_same_path_churn(transport: Transport) {
+    use datalinks::dlfm::AgentConnection;
+
+    let mut spec = FileServerSpec::new(SRV).transport(transport);
     spec.dlfm.agent_executor_threads = 2;
-    let sys = DataLinksSystem::builder()
-        .clock(Arc::new(SimClock::new(1_000_000)))
-        .file_server_with(spec)
-        .build()
-        .unwrap();
+    let sys = Arc::new(
+        DataLinksSystem::builder()
+            .clock(Arc::new(SimClock::new(1_000_000)))
+            .file_server_with(spec)
+            .build()
+            .unwrap(),
+    );
     let raw = sys.raw_fs(SRV).unwrap();
     raw.mkdir_p(&Cred::root(), "/d", 0o777).unwrap();
     raw.write_file(&APP, "/d/hot.bin", b"x").unwrap();
-    let node = sys.node(SRV).unwrap();
 
-    let linked = std::sync::atomic::AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        for t in 0..8usize {
-            let node = &node;
-            let linked = &linked;
-            scope.spawn(move || {
-                for r in 0..6usize {
-                    let agent = node.connect_agent();
-                    let txid = 700_000 + (t * 100 + r) as u64 * 2;
-                    match agent.link(txid, "/d/hot.bin", ControlMode::Rff, true, OnUnlink::Restore)
-                    {
-                        Ok(()) => {
-                            agent.prepare(txid).unwrap();
-                            agent.commit(txid);
-                            linked.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            let untx = txid + 1;
-                            agent.unlink(untx, "/d/hot.bin").unwrap();
-                            agent.prepare(untx).unwrap();
-                            agent.commit(untx);
+    let (done, finished) = std::sync::mpsc::channel();
+    let churn_sys = Arc::clone(&sys);
+    std::thread::spawn(move || {
+        let node = churn_sys.node(SRV).unwrap();
+        let linked = AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            for t in 0..8usize {
+                let linked = &linked;
+                scope.spawn(move || {
+                    for r in 0..6usize {
+                        let agent: Box<dyn AgentConnection> = match transport {
+                            Transport::Local => Box::new(node.connect_agent()),
+                            Transport::Socket => {
+                                Box::new(WireAgent(node.wire().unwrap().connect("churn").unwrap()))
+                            }
+                        };
+                        let txid = 700_000 + (t * 100 + r) as u64 * 2;
+                        match agent.link(
+                            txid,
+                            "/d/hot.bin",
+                            ControlMode::Rff,
+                            true,
+                            OnUnlink::Restore,
+                        ) {
+                            Ok(()) => {
+                                agent.prepare(txid).unwrap();
+                                agent.commit(txid);
+                                linked.fetch_add(1, Ordering::Relaxed);
+                                let untx = txid + 1;
+                                agent.unlink(untx, "/d/hot.bin").unwrap();
+                                agent.prepare(untx).unwrap();
+                                agent.commit(untx);
+                            }
+                            // Lost the race: someone else holds the link.
+                            Err(_) => agent.abort(txid),
                         }
-                        // Lost the race: someone else holds the link.
-                        Err(_) => agent.abort(txid),
                     }
-                }
-            });
-        }
+                });
+            }
+        });
+        let _ = done.send(linked.load(Ordering::Relaxed));
     });
-    assert!(linked.load(std::sync::atomic::Ordering::Relaxed) > 0, "some links must win");
-    assert!(node.server.repository().list_files().is_empty(), "every win was unlinked");
-}
-
-#[test]
-fn thread_per_agent_compat_knob_still_spawns_dedicated_threads() {
-    let mut spec = FileServerSpec::new(SRV);
-    spec.dlfm.thread_per_agent = true;
-    let sys = DataLinksSystem::builder().file_server_with(spec).build().unwrap();
-    let node = sys.node(SRV).unwrap();
-    assert!(node.main_daemon().executor_stats().is_none());
-    let before = node.main_daemon().executor_threads();
-    let _a = node.connect_agent();
-    let _b = node.connect_agent();
-    assert_eq!(node.main_daemon().executor_threads(), before + 2);
+    // Well inside the wire client's 30 s call timeout, so a deadlocked
+    // socket run fails here rather than by a timed-out call.
+    let linked = finished
+        .recv_timeout(Duration::from_secs(20))
+        .unwrap_or_else(|_| panic!("{transport:?}: contended churn deadlocked the executor"));
+    assert!(linked > 0, "{transport:?}: some links must win");
+    assert!(
+        sys.node(SRV).unwrap().server.repository().list_files().is_empty(),
+        "{transport:?}: every win was unlinked"
+    );
 }
 
 // ---------------------------------------------------------------------------
