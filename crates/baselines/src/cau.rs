@@ -14,8 +14,8 @@
 //! * equal → clean replace, version bump;
 //! * stale → depends on the [`MergePolicy`]: `Reject` (the careful shop)
 //!   or `LastWriterWins` (the paper's anecdotal development lab, which
-//!   silently **loses the intervening committed update** — benchmark A1
-//!   counts exactly these).
+//!   silently **loses the intervening committed updates** — the A1
+//!   scenario counts exactly these, each lost version once).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -37,7 +37,8 @@ pub enum MergePolicy {
 pub enum CheckinOutcome {
     /// The base version was current; nothing was lost.
     Clean,
-    /// `LastWriterWins` overwrote `lost` committed update(s).
+    /// `LastWriterWins` overwrote `lost` committed update(s) that no
+    /// earlier check-in had already counted as lost.
     LostUpdates { lost: u64 },
 }
 
@@ -60,7 +61,8 @@ pub struct CauManager {
     db: Database,
     pub fs: Arc<Lfs>,
     next_copy: AtomicU64,
-    /// Committed updates silently overwritten by LastWriterWins check-ins.
+    /// Committed versions silently overwritten by LastWriterWins
+    /// check-ins, each counted once however many stale check-ins skip it.
     pub lost_updates: AtomicU64,
     /// Check-ins rejected as conflicts.
     pub conflicts: AtomicU64,
@@ -75,6 +77,8 @@ impl CauManager {
                     vec![
                         Column::new("path", ColumnType::Text),
                         Column::new("version", ColumnType::Int),
+                        // Highest version already counted as lost.
+                        Column::new("lost_upto", ColumnType::Int),
                     ],
                     "path",
                 )
@@ -90,13 +94,18 @@ impl CauManager {
         })
     }
 
-    fn version_of(&self, tx: &mut dl_minidb::Txn, path: &str) -> Result<u64, DbError> {
+    /// The master's current version and its lost-version high-water mark,
+    /// read under the row lock (registering the master at v1 if new).
+    fn version_of(&self, tx: &mut dl_minidb::Txn, path: &str) -> Result<(u64, u64), DbError> {
         let key = Value::Text(path.to_string());
         match tx.get_for_update(TABLE, &key)? {
-            Some(row) => Ok(row[1].as_int().unwrap_or(0) as u64),
+            Some(row) => {
+                let int = |v: &Value| v.as_int().unwrap_or(0) as u64;
+                Ok((int(&row[1]), int(&row[2])))
+            }
             None => {
-                tx.insert(TABLE, vec![key, Value::Int(1)])?;
-                Ok(1)
+                tx.insert(TABLE, vec![key, Value::Int(1), Value::Int(0)])?;
+                Ok((1, 0))
             }
         }
     }
@@ -105,7 +114,7 @@ impl CauManager {
     /// private copy does not lock the file").
     pub fn copy_out(&self, cred: &Cred, master: &str) -> Result<CauCopy, String> {
         let mut tx = self.db.begin();
-        let base_version = self.version_of(&mut tx, master).map_err(|e| e.to_string())?;
+        let (base_version, _) = self.version_of(&mut tx, master).map_err(|e| e.to_string())?;
         tx.commit().map_err(|e| e.to_string())?;
 
         let n = self.next_copy.fetch_add(1, Ordering::Relaxed);
@@ -125,7 +134,8 @@ impl CauManager {
     ) -> Result<CheckinOutcome, String> {
         let data = self.fs.read_file(cred, &copy.copy).map_err(|e| e.to_string())?;
         let mut tx = self.db.begin();
-        let current = self.version_of(&mut tx, &copy.master).map_err(|e| e.to_string())?;
+        let (current, lost_upto) =
+            self.version_of(&mut tx, &copy.master).map_err(|e| e.to_string())?;
         let stale_by = current.saturating_sub(copy.base_version);
         if stale_by > 0 && policy == MergePolicy::Reject {
             tx.abort();
@@ -135,10 +145,19 @@ impl CauManager {
                 copy.master, copy.base_version, current
             ));
         }
+        // This check-in overwrites versions `base+1..=current`; those at or
+        // below the high-water mark were already lost to an earlier stale
+        // check-in and are not counted again.
+        let lost = current.saturating_sub(copy.base_version.max(lost_upto));
+        let lost_upto = if lost > 0 { current } else { lost_upto };
         tx.update(
             TABLE,
             &Value::Text(copy.master.clone()),
-            vec![Value::Text(copy.master.clone()), Value::Int((current + 1) as i64)],
+            vec![
+                Value::Text(copy.master.clone()),
+                Value::Int((current + 1) as i64),
+                Value::Int(lost_upto as i64),
+            ],
         )
         .map_err(|e| e.to_string())?;
         // The file replace rides inside the version transaction's lock
@@ -148,8 +167,8 @@ impl CauManager {
         let _ = self.fs.remove(cred, &copy.copy);
 
         if stale_by > 0 {
-            self.lost_updates.fetch_add(stale_by, Ordering::Relaxed);
-            Ok(CheckinOutcome::LostUpdates { lost: stale_by })
+            self.lost_updates.fetch_add(lost, Ordering::Relaxed);
+            Ok(CheckinOutcome::LostUpdates { lost })
         } else {
             Ok(CheckinOutcome::Clean)
         }
@@ -237,6 +256,30 @@ mod tests {
         // Alice's committed update is gone — the lost update.
         assert_eq!(m.fs.read_file(&ALICE, "/page.html").unwrap(), b"bob clobbers everything");
         assert_eq!(m.current_version("/page.html"), 3);
+    }
+
+    #[test]
+    fn each_lost_version_is_counted_once() {
+        // Three copies of v1. The first check-in is clean (v2); the second
+        // overwrites v2 (v3); the third overwrites v3 — v2 is gone already
+        // and must not be counted twice.
+        let m = manager();
+        let copies: Vec<CauCopy> =
+            (0..3).map(|_| m.copy_out(&ALICE, "/page.html").unwrap()).collect();
+        let outcomes: Vec<CheckinOutcome> = copies
+            .iter()
+            .map(|c| m.check_in(&ALICE, c, MergePolicy::LastWriterWins).unwrap())
+            .collect();
+        assert_eq!(
+            outcomes,
+            [
+                CheckinOutcome::Clean,
+                CheckinOutcome::LostUpdates { lost: 1 },
+                CheckinOutcome::LostUpdates { lost: 1 },
+            ]
+        );
+        assert_eq!(m.lost_updates.load(Ordering::Relaxed), 2, "v2 and v3 lost, v4 survives");
+        assert_eq!(m.current_version("/page.html"), 4);
     }
 
     #[test]

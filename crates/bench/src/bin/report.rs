@@ -1,27 +1,10 @@
-//! Regenerates the paper's evaluation as printable tables.
+//! Diffs and gates the `BENCH_<id>.json` trajectories the `lab` binary
+//! writes (`lab --json-dir DIR scenarios/*.jsonl`; see EXPERIMENTS.md).
+//! It runs no experiments itself.
+//!
+//! Regression mode: diff two saved directories.
 //!
 //! ```text
-//! cargo run -p dl-bench --release --bin report            # everything
-//! cargo run -p dl-bench --release --bin report -- t1 e3   # a subset
-//! cargo run -p dl-bench --release --bin report -- --quick # fewer iterations
-//! cargo run -p dl-bench --release --bin report -- --json  # + BENCH_*.json
-//! ```
-//!
-//! With `--json`, each table is additionally written as a
-//! `BENCH_<id>.json` trajectory file under `bench-results/` (override the
-//! directory with `--json-dir <dir>`); see EXPERIMENTS.md.
-//!
-//! The system-level experiments (the former a9–a12 runners) now live in
-//! the scenario lab: `cargo run -p dl-bench --bin lab -- scenarios/*.jsonl`
-//! emits the same `BENCH_a9..a12.json` trajectories, compatible with this
-//! binary's `--compare` history.
-//!
-//! Regression mode:
-//!
-//! ```text
-//! # run experiments, then diff the fresh BENCH_*.json against a saved dir
-//! report --json-dir new --compare old [--threshold 25]
-//! # pure diff of two saved directories, no experiments run
 //! report --compare old --current new [--threshold 25]
 //! ```
 //!
@@ -29,22 +12,27 @@
 //! default 25): numeric cells by relative drift, text cells by inequality,
 //! disappeared rows always.
 //!
-//! Gate mode (no experiments run): compare one numeric cell of two rows,
-//! of one trajectory or of two — e.g. a14's wire churn throughput against
-//! the same table's in-process baseline — and fail if the ratio
-//! candidate/baseline falls below a floor:
+//! Gate mode: compare one numeric cell of two rows, of one trajectory or
+//! of two — e.g. a14's wire churn throughput against the same table's
+//! in-process baseline — and fail if the ratio candidate/baseline falls
+//! below a floor:
 //!
 //! ```text
 //! report --gate 'bench-results/BENCH_a14.json::local baseline' \
 //!               'bench-results/BENCH_a14.json::wire churn' \
 //!               --column ops/s --min-ratio 0.05
 //! ```
+//!
+//! Exit status: `0` pass, `1` regression or gate failure, `2` bad
+//! arguments or unreadable input.
 
-use dl_bench::experiments as exp;
 use dl_bench::trajectory;
 
+const USAGE: &str = "usage: report --compare OLD_DIR --current NEW_DIR [--threshold PCT]\n       \
+                     report --gate FILE::ROW FILE::ROW [--column HEADER] [--min-ratio R]";
+
 /// Loads every BENCH_*.json in `dir`, keyed by file stem.
-fn load_dir(dir: &str) -> Vec<(String, trajectory::Trajectory)> {
+fn load_dir(dir: &str) -> Vec<(String, trajectory::Table)> {
     let mut out = Vec::new();
     let entries = match std::fs::read_dir(dir) {
         Ok(e) => e,
@@ -138,181 +126,63 @@ fn run_gate(baseline_spec: &str, candidate_spec: &str, column: &str, min_ratio: 
     }
 }
 
+fn usage(msg: &str) -> ! {
+    eprintln!("error: {msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// The value after `flag`: present and not itself a flag.
+fn value(flag: &str, it: &mut impl Iterator<Item = String>) -> String {
+    it.next()
+        .filter(|v| !v.starts_with("--"))
+        .unwrap_or_else(|| usage(&format!("{flag} needs a value")))
+}
+
+fn number(flag: &str, it: &mut impl Iterator<Item = String>) -> f64 {
+    let v = value(flag, it);
+    v.parse().unwrap_or_else(|_| usage(&format!("{flag} needs a number, got {v:?}")))
+}
+
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut json_dir: Option<String> = None;
     let mut compare_dir: Option<String> = None;
     let mut current_dir: Option<String> = None;
     let mut gate: Option<(String, String)> = None;
     let mut gate_column = "ops/s".to_string();
     let mut min_ratio: f64 = 0.05;
     let mut threshold: f64 = 25.0;
-    let mut args: Vec<String> = Vec::new();
-    let mut it = raw.iter();
-    let dir_value = |flag: &str, v: Option<&String>| -> String {
-        v.filter(|d| !d.starts_with("--"))
-            .unwrap_or_else(|| panic!("{flag} needs a directory argument"))
-            .clone()
+    // `--flag=value` spells the same as `--flag value`.
+    let mut args = Vec::new();
+    for arg in std::env::args().skip(1) {
+        match arg.split_once('=') {
+            Some((flag, v)) if flag.starts_with("--") => {
+                args.extend([flag.to_string(), v.to_string()])
+            }
+            _ => args.push(arg),
+        }
+    }
+    let mut it = args.into_iter();
+    while let Some(flag) = it.next() {
+        match flag.as_str() {
+            "--compare" => compare_dir = Some(value(&flag, &mut it)),
+            "--current" => current_dir = Some(value(&flag, &mut it)),
+            "--threshold" => threshold = number(&flag, &mut it),
+            "--gate" => gate = Some((value(&flag, &mut it), value(&flag, &mut it))),
+            "--column" => gate_column = value(&flag, &mut it),
+            "--min-ratio" => min_ratio = number(&flag, &mut it),
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                return;
+            }
+            other => usage(&format!("unknown argument {other:?}")),
+        }
+    }
+
+    let code = match (&gate, &compare_dir, &current_dir) {
+        (Some((base, cand)), None, None) => run_gate(base, cand, &gate_column, min_ratio),
+        (None, Some(baseline), Some(current)) => {
+            i32::from(compare_dirs(baseline, current, threshold) > 0)
+        }
+        _ => usage("give either --gate, or both --compare and --current"),
     };
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => json_dir = json_dir.or_else(|| Some("bench-results".to_string())),
-            "--json-dir" => json_dir = Some(dir_value("--json-dir", it.next())),
-            "--compare" => compare_dir = Some(dir_value("--compare", it.next())),
-            "--current" => current_dir = Some(dir_value("--current", it.next())),
-            "--threshold" => {
-                threshold = it
-                    .next()
-                    .and_then(|v| v.parse::<f64>().ok())
-                    .expect("--threshold needs a percent value");
-            }
-            "--gate" => {
-                let base = it.next().expect("--gate needs <file.json>::<row> twice").clone();
-                let cand = it.next().expect("--gate needs a second <file.json>::<row>").clone();
-                gate = Some((base, cand));
-            }
-            "--column" => {
-                gate_column = it.next().expect("--column needs a header name").clone();
-            }
-            "--min-ratio" => {
-                min_ratio = it
-                    .next()
-                    .and_then(|v| v.parse::<f64>().ok())
-                    .expect("--min-ratio needs a number");
-            }
-            _ => {
-                if let Some(dir) = a.strip_prefix("--json-dir=") {
-                    json_dir = Some(dir.to_string());
-                } else if let Some(dir) = a.strip_prefix("--compare=") {
-                    compare_dir = Some(dir.to_string());
-                } else if let Some(dir) = a.strip_prefix("--current=") {
-                    current_dir = Some(dir.to_string());
-                } else if let Some(pct) = a.strip_prefix("--threshold=") {
-                    threshold = pct.parse::<f64>().expect("--threshold needs a percent value");
-                } else {
-                    args.push(a.to_lowercase());
-                }
-            }
-        }
-    }
-
-    // Cross-table gate mode: one cell from each of two files, no
-    // experiments run.
-    if let Some((base, cand)) = &gate {
-        std::process::exit(run_gate(base, cand, &gate_column, min_ratio));
-    }
-
-    // Pure diff mode: two saved directories, no experiments run.
-    if let (Some(baseline), Some(current)) = (&compare_dir, &current_dir) {
-        let regressions = compare_dirs(baseline, current, threshold);
-        std::process::exit(if regressions > 0 { 1 } else { 0 });
-    }
-    if compare_dir.is_some() && json_dir.is_none() {
-        // Comparing a fresh run requires writing it somewhere first.
-        json_dir = Some("bench-results".to_string());
-    }
-
-    let quick = args.iter().any(|a| a == "--quick");
-    let filter: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-    let want = |id: &str| filter.is_empty() || filter.iter().any(|f| f.as_str() == id);
-
-    let iters: u64 = if quick { 50 } else { 500 };
-    let heavy_iters: u64 = if quick { 5 } else { 25 };
-
-    if let Some(dir) = &json_dir {
-        std::fs::create_dir_all(dir).expect("create json output dir");
-    }
-    // Print the table; with --json also drop BENCH_<id>.json. A multi-table
-    // experiment (e3) lands as BENCH_<id>.json and BENCH_<id>_2.json etc.
-    let mut emitted: Vec<String> = Vec::new();
-    let mut emit = |table: exp::Table| {
-        println!("{}", table.render());
-        if let Some(dir) = &json_dir {
-            let dups = emitted.iter().filter(|id| id.as_str() == table.id).count();
-            let name = if dups == 0 {
-                format!("{dir}/BENCH_{}.json", table.id)
-            } else {
-                format!("{dir}/BENCH_{}_{}.json", table.id, dups + 1)
-            };
-            std::fs::write(&name, table.to_json()).expect("write BENCH json");
-            emitted.push(table.id.to_string());
-        }
-    };
-
-    println!("DataLinks update-in-place — experiment report");
-    println!(
-        "(reproducing Mittal & Hsiao, ICDE 2001; shapes matter, absolute numbers are this \
-         machine's)\n"
-    );
-
-    if want("t1") {
-        emit(exp::t1_control_modes());
-    }
-    if want("e1") {
-        emit(exp::e1_select_datalink(iters * 4));
-    }
-    if want("e2") {
-        emit(exp::e2_open_close_overhead(iters));
-    }
-    if want("e3") {
-        emit(exp::e3_read_overhead_sweep(heavy_iters, false));
-        emit(exp::e3_read_overhead_sweep(heavy_iters, true));
-    }
-    if want("e4") {
-        emit(exp::e4_open_write_modes(iters));
-    }
-    if want("a1") {
-        let (writers, updates) = if quick { (4, 5) } else { (8, 25) };
-        emit(exp::a1_disciplines(writers, updates));
-    }
-    if want("a2") {
-        emit(exp::a2_txn_boundary(&[1, 8, 64, 256]));
-    }
-    if want("a3") {
-        emit(exp::a3_read_path(iters));
-    }
-    if want("a4") {
-        emit(exp::a4_sync_table_cost(iters));
-    }
-    if want("a5") {
-        emit(exp::a5_archive_async(&[64, 512, 2048], heavy_iters));
-    }
-    if want("a6") {
-        emit(exp::a6_crash_atomicity(if quick { 3 } else { 10 }));
-    }
-    if want("a7") {
-        emit(exp::a7_point_in_time(5));
-    }
-    if want("a8") {
-        emit(exp::a8_strict_link(iters));
-    }
-    if want("appendix") || filter.is_empty() {
-        let mut rows = Vec::new();
-        for mode in
-            [dl_core::ControlMode::Rff, dl_core::ControlMode::Rfd, dl_core::ControlMode::Rdd]
-        {
-            let (p50, p99, max) =
-                exp::open_latency_distribution(mode, if quick { 50 } else { 400 });
-            rows.push(vec![
-                mode.to_string(),
-                dl_bench::fmt_ns(p50 as f64),
-                dl_bench::fmt_ns(p99 as f64),
-                dl_bench::fmt_ns(max as f64),
-            ]);
-        }
-        emit(exp::Table {
-            id: "appendix".into(),
-            title: "read-open latency distribution by mode".to_string(),
-            header: vec!["mode".into(), "p50".into(), "p99".into(), "max".into()],
-            rows,
-            notes: Vec::new(),
-        });
-    }
-
-    // Fresh-run compare: diff what we just wrote against the baseline dir.
-    if let Some(baseline) = &compare_dir {
-        let current = json_dir.as_deref().expect("compare mode implies a json dir");
-        let regressions = compare_dirs(baseline, current, threshold);
-        std::process::exit(if regressions > 0 { 1 } else { 0 });
-    }
+    std::process::exit(code);
 }

@@ -1,9 +1,11 @@
 //! The scenario-lab engine: drives `dl-lab` trial plans against a live
-//! [`DataLinksSystem`] and renders the results through the same
-//! [`Table`] / `BENCH_<id>.json` pipeline as the `report` binary.
+//! [`DataLinksSystem`] and renders the results as [`Table`]s, the
+//! `BENCH_<id>.json` format the `report` binary diffs and gates.
 //!
 //! A scenario's [`Kind`] selects the engine loop:
 //!
+//! * [`Kind::Paper`] — one of the paper's tables (T1, E1–E4, A1–A8), run
+//!   by its runner in [`crate::paper`].
 //! * [`Kind::CommitThroughput`] — the a9 sweep: bare-DB vs full-stack
 //!   commit rate, per-commit sync vs group commit, one variant per
 //!   committer count.
@@ -26,11 +28,10 @@
 //!   resolve by presumed abort with zero atomicity violations, proven off
 //!   the `net.*` registry instruments.
 //!
-//! Everything the old bespoke a9–a12 runners *asserted* is emitted here
-//! as a named **metric**; the acceptance thresholds live in the scenario
-//! file's `"assert"` list ([`check_asserts`]). Row labels come verbatim
-//! from the scenario's variant labels, so `report --compare` keys rows
-//! exactly as it did against the pre-lab BENCH history.
+//! Every claim a scenario checks is emitted here as a named **metric**;
+//! the acceptance thresholds live in the scenario file's `"assert"` list
+//! ([`check_asserts`]). Row labels come verbatim from the scenario's
+//! variant labels, so `report --compare` keys rows by them.
 //!
 //! Metric aggregation across `variant × repeat` trials: counter-like
 //! metrics (`ops_failed`, `failovers`, `stale_reads`, ...) are summed,
@@ -59,11 +60,13 @@ use dl_core::{
 };
 use dl_dlfm::{FaultInjector, Transport, UpcallRequest, WireAgent};
 use dl_fskit::{Cred, OpenOptions};
-use dl_lab::{expand, InjectAction, Kind, LabRng, Params, Plan, ReadRoute, Scenario, TrialSpec};
+use dl_lab::{
+    expand, Bound, InjectAction, Kind, LabRng, Params, Plan, ReadRoute, Scenario, TrialSpec,
+};
 use dl_minidb::{Column, ColumnType, Database, DbOptions, Schema, StorageEnv, Value, WalOptions};
 use dl_obs::{Histogram, HistogramSnapshot, Snapshot};
 
-use crate::experiments::Table;
+use crate::trajectory::Table;
 use crate::{
     fixture, fixture_with_faults, fmt_ns, make_content, run_threads, time_once, Fixture,
     FixtureOptions, APP, SRV, TABLE,
@@ -95,6 +98,7 @@ pub fn run_scenario(sc: &Scenario, quick: bool) -> Result<ScenarioRun, String> {
         Kind::Mixed => mixed(sc, &plan),
         Kind::Sharding => sharding(sc, &plan),
         Kind::WireFrontEnd => wire_front_end(sc, &plan),
+        Kind::Paper => crate::paper::run(sc, &plan),
     }?;
     if let Some(title) = &sc.title {
         run.table.title = title.clone();
@@ -109,12 +113,20 @@ pub fn run_scenario(sc: &Scenario, quick: bool) -> Result<ScenarioRun, String> {
 pub fn check_asserts(sc: &Scenario, metrics: &BTreeMap<String, f64>) -> Vec<AssertOutcome> {
     sc.asserts
         .iter()
-        .map(|p| match metrics.get(&p.metric) {
-            Some(&m) => AssertOutcome { text: format!("{p}  (measured {m})"), pass: p.holds(m) },
-            None => AssertOutcome {
+        .map(|p| match p.check(metrics) {
+            Ok(pass) => {
+                let measured = |name: &str| metrics[name];
+                let text = match &p.bound {
+                    Bound::Value(_) => format!("{p}  (measured {})", measured(&p.metric)),
+                    Bound::Metric(b) => {
+                        format!("{p}  (measured {} vs {})", measured(&p.metric), measured(b))
+                    }
+                };
+                AssertOutcome { text, pass }
+            }
+            Err(missing) => AssertOutcome {
                 text: format!(
-                    "{p}  (metric {:?} was not emitted; known metrics: {})",
-                    p.metric,
+                    "{p}  (metric {missing:?} was not emitted; known metrics: {})",
                     metrics.keys().cloned().collect::<Vec<_>>().join(", ")
                 ),
                 pass: false,
@@ -123,11 +135,16 @@ pub fn check_asserts(sc: &Scenario, metrics: &BTreeMap<String, f64>) -> Vec<Asse
         .collect()
 }
 
-fn s(x: impl ToString) -> String {
+pub(crate) fn s(x: impl ToString) -> String {
     x.to_string()
 }
 
-fn need(sc: &Scenario, t: &TrialSpec, knob: &str, v: Option<u64>) -> Result<u64, String> {
+pub(crate) fn need(
+    sc: &Scenario,
+    t: &TrialSpec,
+    knob: &str,
+    v: Option<u64>,
+) -> Result<u64, String> {
     v.ok_or_else(|| {
         format!(
             "scenario {} ({}): variant {:?} is missing the {knob:?} knob its {} driver needs",

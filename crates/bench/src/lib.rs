@@ -1,9 +1,12 @@
-//! Benchmark support: fixtures, workload generators and measurement
-//! helpers shared by the Criterion benches and the `report` binary.
+//! The evaluation harness: fixtures and measurement helpers, the scenario
+//! lab's engines ([`lab`]), the paper's tables as lab runners ([`paper`])
+//! and the `BENCH_<id>.json` trajectory format ([`trajectory`]).
 //!
-//! Every experiment from DESIGN.md (T1, E1–E4, A1–A7) has its runner in
-//! [`experiments`] so the Criterion benches and the paper-style report
-//! print from the same code paths.
+//! One harness runs everything: the `lab` binary loads `scenarios/*.jsonl`,
+//! runs each scenario (the paper's T1, E1–E4 and A1–A8 as well as the
+//! system workloads a9–a14 and the fault scenarios) and checks its declared
+//! assertions. The `report` binary diffs and gates the trajectories the
+//! lab writes.
 
 use std::time::{Duration, Instant};
 
@@ -16,8 +19,8 @@ use dl_fskit::memfs::IoModel;
 use dl_fskit::{Cred, OpenOptions};
 use dl_minidb::{Column, ColumnType, DbOptions, Schema, StorageEnv, Value};
 
-pub mod experiments;
 pub mod lab;
+pub mod paper;
 pub mod trajectory;
 
 /// The benchmark application user.
@@ -267,13 +270,15 @@ impl Fixture {
     }
 }
 
-/// Measures `f` over `iters` iterations, returning ns/iter.
-pub fn time_ns(iters: u64, mut f: impl FnMut()) -> f64 {
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed().as_nanos() as f64 / iters as f64
+/// Times each of `iters` calls of `f`, returning the per-call ns.
+pub fn sample_ns(iters: u64, mut f: impl FnMut()) -> Vec<u64> {
+    (0..iters)
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed().as_nanos() as u64
+        })
+        .collect()
 }
 
 /// Runs `f` once and returns the wall time.

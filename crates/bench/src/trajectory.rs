@@ -1,22 +1,84 @@
-//! BENCH_*.json trajectory files: parsing and cross-PR regression
-//! comparison for the report binary's `--compare` mode.
+//! `BENCH_<id>.json` trajectory files: the [`Table`] every lab scenario
+//! prints and writes, its parser, and the cross-run regression comparison
+//! behind the report binary's `--compare` and `--gate` modes.
 //!
-//! The workspace builds without serde (vendor/README.md), so this module
-//! carries a small hand-rolled parser for the restricted JSON the report
-//! emits ([`crate::experiments::Table::to_json`]): one flat object whose
-//! values are strings, string arrays, or arrays of string arrays.
+//! The workspace builds without serde (vendor/README.md), so the format is
+//! hand-rolled in both directions: one flat object whose values are
+//! strings, string arrays, or arrays of string arrays.
 
 use std::fmt::Write as _;
 
-/// A parsed `BENCH_<id>.json` file — the persistent form of an experiment
-/// table.
+/// A printable, comparable experiment result — the in-memory form of a
+/// `BENCH_<id>.json` file.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Trajectory {
+pub struct Table {
     pub id: String,
     pub title: String,
     pub header: Vec<String>,
     pub rows: Vec<Vec<String>>,
     pub notes: Vec<String>,
+}
+
+impl Table {
+    /// The human form: a titled, column-aligned table plus its notes.
+    pub fn render(&self) -> String {
+        let mut widths: Vec<usize> = self.header.iter().map(|h| h.chars().count()).collect();
+        for row in &self.rows {
+            for (i, cell) in row.iter().enumerate() {
+                let len = cell.chars().count();
+                match widths.get_mut(i) {
+                    Some(w) => *w = (*w).max(len),
+                    None => widths.push(len),
+                }
+            }
+        }
+        let line = |cells: &[String]| -> String {
+            let padded: Vec<String> =
+                cells.iter().zip(&widths).map(|(c, &w)| format!("{c:w$}")).collect();
+            padded.join("  ").trim_end().to_string()
+        };
+        let mut out = format!("== {}: {} ==\n", self.id, self.title);
+        let _ = writeln!(out, "{}", line(&self.header));
+        let _ = writeln!(out, "{}", "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len()));
+        for row in &self.rows {
+            let _ = writeln!(out, "{}", line(row));
+        }
+        for note in &self.notes {
+            let _ = writeln!(out, "  note: {note}");
+        }
+        out
+    }
+
+    /// The machine-readable form written as `BENCH_<id>.json`.
+    pub fn to_json(&self) -> String {
+        fn esc(s: &str) -> String {
+            let mut out = String::with_capacity(s.len() + 2);
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out
+        }
+        fn arr(items: &[String]) -> String {
+            let cells: Vec<String> = items.iter().map(|c| format!("\"{}\"", esc(c))).collect();
+            format!("[{}]", cells.join(","))
+        }
+        let rows: Vec<String> = self.rows.iter().map(|r| arr(r)).collect();
+        format!(
+            "{{\"id\":\"{}\",\"title\":\"{}\",\"header\":{},\"rows\":[{}],\"notes\":{}}}",
+            esc(&self.id),
+            esc(&self.title),
+            arr(&self.header),
+            rows.join(","),
+            arr(&self.notes),
+        )
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -160,10 +222,10 @@ impl<'a> Parser<'a> {
 }
 
 /// Parses one `BENCH_<id>.json` document.
-pub fn parse(json: &str) -> Result<Trajectory, String> {
+pub fn parse(json: &str) -> Result<Table, String> {
     let mut p = Parser::new(json);
     p.expect(b'{')?;
-    let mut t = Trajectory {
+    let mut t = Table {
         id: String::new(),
         title: String::new(),
         header: Vec::new(),
@@ -229,7 +291,7 @@ fn numeric(cell: &str) -> Option<f64> {
 /// uses this to compare one figure across two rows (a14's in-process
 /// baseline vs its wire churn), where a full [`compare`] would drown in
 /// missing-row noise.
-pub fn read_cell(t: &Trajectory, row_label: &str, column: &str) -> Result<f64, String> {
+pub fn read_cell(t: &Table, row_label: &str, column: &str) -> Result<f64, String> {
     let row = t
         .rows
         .iter()
@@ -284,7 +346,7 @@ impl CompareReport {
 /// "10× faster" cell is as suspicious as a 10× slower one in a determinism
 /// check; for timing-noise tables pick a generous threshold) and any text
 /// cell that changed at all.
-pub fn compare(baseline: &Trajectory, current: &Trajectory, threshold_pct: f64) -> CompareReport {
+pub fn compare(baseline: &Table, current: &Table, threshold_pct: f64) -> CompareReport {
     let mut report = CompareReport::default();
     let label = |row: &[String]| row.first().cloned().unwrap_or_default();
 
@@ -365,7 +427,6 @@ pub fn render(id: &str, report: &CompareReport, threshold_pct: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::Table;
 
     fn table() -> Table {
         Table {

@@ -880,6 +880,7 @@ impl DataLinksSystem {
         let wal = self.db.wal_telemetry();
         registry.register_histogram("minidb.host.fsync_ns", wal.fsync_ns);
         registry.register_histogram("minidb.host.wal_batch_frames", wal.batch_frames);
+        registry.register_counter("minidb.host.wal_dropped_commits", wal.dropped_commits);
         let db_tel = self.db.telemetry();
         registry.register_histogram("minidb.host.checkpoint_ns", db_tel.checkpoint_ns);
         registry.register_gauge("minidb.host.checkpoint_bytes", db_tel.checkpoint_bytes);
@@ -1000,6 +1001,8 @@ impl DataLinksSystem {
         let wal = repo_db.wal_telemetry();
         registry.register_histogram(&format!("minidb.{name}.fsync_ns"), wal.fsync_ns);
         registry.register_histogram(&format!("minidb.{name}.wal_batch_frames"), wal.batch_frames);
+        registry
+            .register_counter(&format!("minidb.{name}.wal_dropped_commits"), wal.dropped_commits);
         let db_tel = repo_db.telemetry();
         registry.register_histogram(&format!("minidb.{name}.checkpoint_ns"), db_tel.checkpoint_ns);
         registry

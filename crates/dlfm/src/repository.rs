@@ -198,7 +198,7 @@ pub enum WriteClaim {
 /// The repository: a typed wrapper over a `dl-minidb` database.
 pub struct Repository {
     db: Database,
-    /// Auto-commit write transactions performed (the "extra database update
+    /// Auto-commit write transactions committed (the "extra database update
     /// operations" the paper counts in §4.5).
     pub update_ops: AtomicU64,
 }
@@ -325,11 +325,14 @@ impl Repository {
         &self.db
     }
 
+    /// Counts one repository update. Call only after `txn.commit()`
+    /// succeeded: a failed statement or commit changed nothing.
     fn bump(&self) {
         self.update_ops.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Number of auto-commit repository updates so far (bench A4).
+    /// Number of committed auto-commit repository updates so far (the A4
+    /// scenario's §4.5 accounting).
     pub fn update_op_count(&self) -> u64 {
         self.update_ops.load(Ordering::Relaxed)
     }
@@ -395,7 +398,6 @@ impl Repository {
 
     /// Clears the pending-archive flag once the archive job completed.
     pub fn clear_needs_archive(&self, path: &str) -> DbResult<()> {
-        self.bump();
         let mut txn = self.db.begin();
         txn.update_column(
             "dl_files",
@@ -404,6 +406,7 @@ impl Repository {
             Value::Bool(false),
         )?;
         txn.commit()?;
+        self.bump();
         Ok(())
     }
 
@@ -413,7 +416,6 @@ impl Repository {
     /// re-set the flag for *its* version) — a stale clear must be a no-op
     /// or a crash could skip re-archiving the newest committed copy.
     pub fn clear_needs_archive_if_version(&self, path: &str, version: u64) -> DbResult<()> {
-        self.bump();
         let key = Value::Text(path.to_string());
         let mut txn = self.db.begin();
         let row = txn.get_for_update("dl_files", &key)?.ok_or(dl_minidb::DbError::RowNotFound)?;
@@ -423,6 +425,7 @@ impl Repository {
             txn.update("dl_files", &key, row)?;
         }
         txn.commit()?;
+        self.bump();
         Ok(())
     }
 
@@ -446,7 +449,6 @@ impl Repository {
         kind: TokenKind,
         expiry_ms: u64,
     ) -> DbResult<()> {
-        self.bump();
         let key = Self::token_key(uid, path, kind);
         let mut txn = self.db.begin();
         let kv = Value::Text(key.clone());
@@ -457,6 +459,7 @@ impl Repository {
             txn.insert("dl_tokens", row)?;
         }
         txn.commit()?;
+        self.bump();
         Ok(())
     }
 
@@ -494,7 +497,6 @@ impl Repository {
 
     /// Inserts a Sync-table entry for an approved open (§4.5).
     pub fn add_sync(&self, entry: &SyncEntry) -> DbResult<()> {
-        self.bump();
         let mut txn = self.db.begin();
         txn.insert(
             "dl_sync",
@@ -507,15 +509,16 @@ impl Repository {
             ],
         )?;
         txn.commit()?;
+        self.bump();
         Ok(())
     }
 
     /// Purges the Sync-table entry at close (§4.5).
     pub fn remove_sync(&self, path: &str, opener: u64) -> DbResult<()> {
-        self.bump();
         let mut txn = self.db.begin();
         txn.delete("dl_sync", &Value::Text(sync_key(path, opener)))?;
         txn.commit()?;
+        self.bump();
         Ok(())
     }
 
@@ -559,7 +562,6 @@ impl Repository {
         uid: u32,
         read_conflicts: bool,
     ) -> DbResult<WriteClaim> {
-        self.bump();
         let key = Value::Text(path.to_string());
         let mut txn = self.db.begin();
         let Some(row) = txn.get_for_update("dl_files", &key)? else {
@@ -598,6 +600,7 @@ impl Repository {
             ],
         )?;
         txn.commit()?;
+        self.bump();
         Ok(WriteClaim::Granted { entry, new_version })
     }
 
@@ -605,7 +608,6 @@ impl Repository {
     /// lock, verifies no write Sync entry exists and inserts the read Sync
     /// row. Returns false on a write conflict.
     pub fn claim_read_sync(&self, path: &str, opener: u64, uid: u32) -> DbResult<bool> {
-        self.bump();
         let key = Value::Text(path.to_string());
         let mut txn = self.db.begin();
         if txn.get_for_update("dl_files", &key)?.is_none() {
@@ -628,6 +630,7 @@ impl Repository {
             ],
         )?;
         txn.commit()?;
+        self.bump();
         Ok(true)
     }
 
@@ -642,7 +645,6 @@ impl Repository {
 
     /// Records that `path` is being updated toward `new_version` (§4.4).
     pub fn put_uip(&self, entry: &UipEntry) -> DbResult<()> {
-        self.bump();
         let mut txn = self.db.begin();
         txn.insert(
             "dl_uip",
@@ -653,16 +655,17 @@ impl Repository {
             ],
         )?;
         txn.commit()?;
+        self.bump();
         Ok(())
     }
 
     /// Clears the update-in-progress entry (close rollback path; the commit
     /// path clears it inside the close sub-transaction instead).
     pub fn remove_uip(&self, path: &str) -> DbResult<()> {
-        self.bump();
         let mut txn = self.db.begin();
         txn.delete("dl_uip", &Value::Text(path.to_string()))?;
         txn.commit()?;
+        self.bump();
         Ok(())
     }
 
@@ -704,7 +707,6 @@ impl Repository {
     /// Durably logs an intent *before* the file system is mutated on behalf
     /// of an uncommitted host transaction (write-ahead intent).
     pub fn add_intent(&self, intent: &IntentEntry) -> DbResult<()> {
-        self.bump();
         let mut txn = self.db.begin();
         txn.insert(
             "dl_intents",
@@ -719,6 +721,7 @@ impl Repository {
             ],
         )?;
         txn.commit()?;
+        self.bump();
         Ok(())
     }
 
@@ -729,10 +732,10 @@ impl Repository {
 
     /// Removes an intent immediately (runtime abort path).
     pub fn remove_intent(&self, host_txid: u64, path: &str) -> DbResult<()> {
-        self.bump();
         let mut txn = self.db.begin();
         self.remove_intent_in(&mut txn, host_txid, path)?;
         txn.commit()?;
+        self.bump();
         Ok(())
     }
 
@@ -1026,5 +1029,8 @@ mod tests {
             .unwrap();
         r.remove_sync("/x", 1).unwrap();
         assert_eq!(r.update_op_count() - before, 2, "one update per sync op (§4.5)");
+        // Purging a Sync row that was never inserted commits nothing.
+        assert!(r.remove_sync("/x", 1).is_err());
+        assert_eq!(r.update_op_count() - before, 2, "a failed update is not counted");
     }
 }

@@ -4,12 +4,15 @@
 //! mix, read/write ratio, burst shape, replica count, pool knobs) plus its
 //! fault injection points (crash the primary at op N, stall a standby,
 //! kill an upcall worker) and its acceptance predicates, all declared in
-//! one JSONL file under `scenarios/`. This crate is the pure declarative
-//! layer — schema parsing with line-numbered errors ([`schema`]),
-//! deterministic `variant × repeat` plan expansion with fixed seeds
-//! ([`plan`]) and assertion predicates ([`Predicate`]). The engine that
-//! drives a plan against a live `DataLinksSystem` lives in `dl-bench`
-//! (`dl_bench::lab`), and the `lab` binary ties the two together:
+//! one JSONL file under `scenarios/`. The paper's own evaluation tables
+//! are scenarios too (`kind: "paper"`, named by table id, see
+//! [`PAPER_TABLES`]), their claims written as predicates. This crate is
+//! the pure declarative layer — schema parsing with line-numbered errors
+//! ([`schema`]), deterministic `variant × repeat` plan expansion with
+//! fixed seeds ([`plan`]) and assertion predicates ([`Predicate`]). The
+//! engine that drives a plan against a live `DataLinksSystem` lives in
+//! `dl-bench` (`dl_bench::lab`), and the `lab` binary ties the two
+//! together:
 //!
 //! ```text
 //! cargo run -p dl-bench --bin lab -- --quick scenarios/*.jsonl
@@ -26,8 +29,8 @@ pub mod schema;
 
 pub use plan::{expand, LabRng, Plan, TrialSpec};
 pub use schema::{
-    parse_scenario, CmpOp, InjectAction, Injection, Kind, Params, Predicate, ReadRoute, Scenario,
-    SchemaError, Variant,
+    parse_scenario, Bound, CmpOp, InjectAction, Injection, Kind, Params, Predicate, ReadRoute,
+    Scenario, SchemaError, Variant, PAPER_TABLES,
 };
 
 /// Reads and parses a scenario file from disk.
@@ -170,7 +173,7 @@ mod tests {
         for (pred, why) in [
             ("throughput", "metric op number"),
             ("a ~ 3", "unknown operator"),
-            ("a >= fast", "not a number"),
+            ("a >= 1.5x", "not a number"),
         ] {
             let text = format!(r#"{{"scenario":"x","kind":"mixed","seed":1,"assert":[{pred:?}]}}"#);
             let e = parse_scenario("s.jsonl", &text).unwrap_err();
@@ -180,12 +183,38 @@ mod tests {
 
     #[test]
     fn predicates_evaluate() {
-        let p = Predicate::parse("failover_ms <= 500").unwrap();
-        assert!(p.holds(500.0) && p.holds(0.0) && !p.holds(500.1));
-        let p = Predicate::parse("throughput_ratio >= 1.6").unwrap();
-        assert!(p.holds(1.6) && !p.holds(1.59));
-        let p = Predicate::parse("lost_acked_links == 0").unwrap();
-        assert!(p.holds(0.0) && !p.holds(1.0));
+        let holds = |text: &str, metrics: &[(&str, f64)]| {
+            let map = metrics.iter().map(|(k, v)| (k.to_string(), *v)).collect();
+            Predicate::parse(text).unwrap().check(&map)
+        };
+        let at = |v: f64| holds("failover_ms <= 500", &[("failover_ms", v)]).unwrap();
+        assert!(at(500.0) && at(0.0) && !at(500.1));
+        let at = |v: f64| holds("throughput_ratio >= 1.6", &[("throughput_ratio", v)]).unwrap();
+        assert!(at(1.6) && !at(1.59));
+        let at = |v: f64| holds("lost_acked_links == 0", &[("lost_acked_links", v)]).unwrap();
+        assert!(at(0.0) && !at(1.0));
+        // A metric bound compares two emitted metrics.
+        let at = |lost: f64| holds("lost <= updates", &[("lost", lost), ("updates", 20.0)]);
+        assert!(at(20.0).unwrap() && !at(24.0).unwrap());
+        // Either side missing is an error naming it, not a verdict.
+        assert_eq!(holds("lost <= updates", &[("lost", 1.0)]), Err("updates".to_string()));
+        assert_eq!(holds("lost <= 3", &[]), Err("lost".to_string()));
+    }
+
+    #[test]
+    fn paper_scenarios_must_name_a_known_table_once() {
+        let paper = |name: &str, variants: &str| {
+            let header = format!(r#"{{"scenario":"{name}","kind":"paper","seed":1}}"#);
+            parse_scenario("p.jsonl", &format!("{header}\n{variants}"))
+        };
+        let sc = paper("t1", r#"{"variant":"observed"}"#).unwrap();
+        assert_eq!(sc.kind, Kind::Paper);
+        let e = paper("t9", r#"{"variant":"observed"}"#).unwrap_err();
+        assert!(e.to_string().starts_with("p.jsonl:1: unknown paper table id \"t9\""), "{e}");
+        let e = paper("a9", r#"{"variant":"observed"}"#).unwrap_err();
+        assert!(e.msg.contains("unknown paper table id"), "{e}");
+        let e = paper("e1", "{\"variant\":\"a\"}\n{\"variant\":\"b\"}").unwrap_err();
+        assert!(e.msg.contains("exactly one variant"), "{e}");
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! with a `file:line:` prefix so a broken scenario reads like a compiler
 //! error, not a stack trace in the middle of a bench run.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::json::{self, Value};
@@ -53,7 +54,16 @@ pub enum Kind {
     /// Connection churn over real sockets against the wire front end,
     /// with mid-2PC connection severing (the a14 shape).
     WireFrontEnd,
+    /// One of the paper's evaluation tables; the scenario name is the
+    /// table id (one of [`PAPER_TABLES`]).
+    Paper,
 }
+
+/// The paper's evaluation tables a `paper` scenario may name: Table 1's
+/// control-mode matrix, the §3.2/§5 measurements E1–E4 and the ablations
+/// A1–A8 (EXPERIMENTS.md).
+pub const PAPER_TABLES: [&str; 13] =
+    ["t1", "e1", "e2", "e3", "e4", "a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8"];
 
 impl Kind {
     fn parse(s: &str) -> Option<Kind> {
@@ -65,6 +75,7 @@ impl Kind {
             "mixed" => Kind::Mixed,
             "sharding" => Kind::Sharding,
             "wire_front_end" => Kind::WireFrontEnd,
+            "paper" => Kind::Paper,
             _ => return None,
         })
     }
@@ -79,6 +90,7 @@ impl Kind {
             Kind::Mixed => "mixed",
             Kind::Sharding => "sharding",
             Kind::WireFrontEnd => "wire_front_end",
+            Kind::Paper => "paper",
         }
     }
 }
@@ -243,52 +255,87 @@ impl CmpOp {
     }
 }
 
-/// An assertion declared in the scenario: `metric op number`, e.g.
-/// `"throughput_ratio >= 1.6"` or `"max_os_threads < 64"`. Evaluated
-/// against the metric map the scenario's driver emits; naming a metric the
-/// driver never produced is an error, not a silent pass.
+/// The right-hand side of a predicate: a number, or another metric the
+/// same engine emits.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Bound {
+    Value(f64),
+    Metric(String),
+}
+
+impl fmt::Display for Bound {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Bound::Value(v) => write!(f, "{v}"),
+            Bound::Metric(m) => f.write_str(m),
+        }
+    }
+}
+
+/// An assertion declared in the scenario: `metric op bound`, where the
+/// bound is a number or a second metric, e.g. `"throughput_ratio >= 1.6"`
+/// or `"cau_lost_updates <= cau_updates"`. Evaluated against the metric
+/// map the scenario's engine emits; naming a metric the engine never
+/// produced is an error, not a silent pass.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Predicate {
     pub metric: String,
     pub op: CmpOp,
-    pub value: f64,
+    pub bound: Bound,
+}
+
+fn is_metric_name(s: &str) -> bool {
+    !s.is_empty() && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
 }
 
 impl Predicate {
-    /// Parses `metric op number` (whitespace-separated).
+    /// Parses `metric op bound` (whitespace-separated).
     pub fn parse(text: &str) -> Result<Predicate, String> {
         let parts: Vec<&str> = text.split_whitespace().collect();
-        let [metric, op, value] = parts.as_slice() else {
+        let [metric, op, bound] = parts.as_slice() else {
             return Err(format!(
                 "predicate {text:?} must be `metric op number` (e.g. \"failover_ms <= 500\")"
             ));
         };
         let op = CmpOp::parse(op)
             .ok_or_else(|| format!("predicate {text:?}: unknown operator {op:?}"))?;
-        let value = value
-            .parse::<f64>()
-            .map_err(|_| format!("predicate {text:?}: {value:?} is not a number"))?;
-        if !metric.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
+        let bound = match bound.parse::<f64>() {
+            Ok(v) => Bound::Value(v),
+            Err(_) if is_metric_name(bound) => Bound::Metric(bound.to_string()),
+            Err(_) => {
+                return Err(format!(
+                    "predicate {text:?}: {bound:?} is not a number or a metric name"
+                ))
+            }
+        };
+        if !is_metric_name(metric) {
             return Err(format!("predicate {text:?}: metric names are [a-z0-9_]"));
         }
-        Ok(Predicate { metric: metric.to_string(), op, value })
+        Ok(Predicate { metric: metric.to_string(), op, bound })
     }
 
-    /// Checks the predicate against a measured metric value.
-    pub fn holds(&self, measured: f64) -> bool {
-        match self.op {
-            CmpOp::Le => measured <= self.value,
-            CmpOp::Ge => measured >= self.value,
-            CmpOp::Lt => measured < self.value,
-            CmpOp::Gt => measured > self.value,
-            CmpOp::Eq => measured == self.value,
-        }
+    /// Checks the predicate against an engine's metric map. `Err` names the
+    /// metric the map lacks.
+    pub fn check(&self, metrics: &BTreeMap<String, f64>) -> Result<bool, String> {
+        let get = |name: &str| metrics.get(name).copied().ok_or_else(|| name.to_string());
+        let measured = get(&self.metric)?;
+        let bound = match &self.bound {
+            Bound::Value(v) => *v,
+            Bound::Metric(m) => get(m)?,
+        };
+        Ok(match self.op {
+            CmpOp::Le => measured <= bound,
+            CmpOp::Ge => measured >= bound,
+            CmpOp::Lt => measured < bound,
+            CmpOp::Gt => measured > bound,
+            CmpOp::Eq => measured == bound,
+        })
     }
 }
 
 impl fmt::Display for Predicate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {} {}", self.metric, self.op.as_str(), self.value)
+        write!(f, "{} {} {}", self.metric, self.op.as_str(), self.bound)
     }
 }
 
@@ -349,6 +396,26 @@ pub fn parse_scenario(file: &str, text: &str) -> Result<Scenario, SchemaError> {
     if sc.variants.is_empty() {
         return Err(err(file, header_line, "scenario has no variants (need at least one row)"));
     }
+    if sc.kind == Kind::Paper {
+        if !PAPER_TABLES.contains(&sc.name.as_str()) {
+            return Err(err(
+                file,
+                header_line,
+                format!(
+                    "unknown paper table id {:?} (expected one of {})",
+                    sc.name,
+                    PAPER_TABLES.join(", ")
+                ),
+            ));
+        }
+        if sc.variants.len() != 1 || sc.repeats != 1 {
+            return Err(err(
+                file,
+                header_line,
+                "a paper scenario runs its table once: exactly one variant and repeats 1",
+            ));
+        }
+    }
     Ok(sc)
 }
 
@@ -405,7 +472,7 @@ fn parse_header(file: &str, line: usize, v: &Value) -> Result<Scenario, SchemaEr
                         file,
                         line,
                         format!(
-                            "unknown kind {s:?} (expected commit_throughput, replication, checkpoint_shipping, front_end, mixed, sharding or wire_front_end)"
+                            "unknown kind {s:?} (expected commit_throughput, replication, checkpoint_shipping, front_end, mixed, sharding, wire_front_end or paper)"
                         ),
                     )
                 })?);

@@ -68,7 +68,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dl_obs::Histogram;
+use dl_obs::{Counter, Histogram};
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::codec::{crc32, Dec, Enc};
@@ -481,6 +481,9 @@ pub struct WalTelemetry {
     /// Frames made durable per flush: the group-commit batch-size
     /// distribution (always 1 in per-commit-sync mode).
     pub batch_frames: Arc<Histogram>,
+    /// Commits whose append failed because their flush failed: one per
+    /// dropped frame, so a failed group-commit batch counts every waiter.
+    pub dropped_commits: Arc<Counter>,
 }
 
 impl WalTelemetry {
@@ -488,6 +491,7 @@ impl WalTelemetry {
         WalTelemetry {
             fsync_ns: Arc::new(Histogram::new()),
             batch_frames: Arc::new(Histogram::new()),
+            dropped_commits: Arc::new(Counter::new()),
         }
     }
 }
@@ -599,7 +603,10 @@ impl Wal {
         let flush_start = Instant::now();
         let result = dev.write_at(start - base, &frame).and_then(|()| dev.sync());
         state.spare = frame;
-        result?;
+        if let Err(e) = result {
+            self.telemetry.dropped_commits.inc();
+            return Err(e);
+        }
         self.telemetry.fsync_ns.record_duration(flush_start.elapsed());
         self.telemetry.batch_frames.record(1);
         state.end = start + (FRAME_HEADER + payload.len()) as u64;
@@ -638,6 +645,7 @@ impl Wal {
                 if my_lsn <= durable_at_failure {
                     return Ok(my_lsn);
                 }
+                self.telemetry.dropped_commits.inc();
                 let e = state.last_failure.clone().unwrap_or_default();
                 return Err(DbError::Io(format!("wal flush failed; commit dropped: {e}")));
             }
@@ -648,8 +656,10 @@ impl Wal {
                 // Follow: a leader is flushing; it (or a successor) will
                 // cover our frame and wake us.
                 self.flushed.wait(&mut state);
-            } else {
-                self.lead_flush(&mut state)?;
+            } else if let Err(e) = self.lead_flush(&mut state) {
+                // The leader's own frame was in the failed batch.
+                self.telemetry.dropped_commits.inc();
+                return Err(e);
             }
         }
     }
