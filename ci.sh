@@ -48,7 +48,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 # file size (under 1% at 16 MiB over the disk model), e4 rfd/rdd
 # open-for-write within 2x, a1 zero UIP lost updates while CAU loses at
 # most one per update, a2 3 upcalls per update session at any write
-# count, a3 0 (rfd) vs 3 (rdd) upcalls per read open, a4 exactly 2
+# count, a3 0 (rfd) vs 3 (rdd) upcalls per read open and an rdd
+# open+close within 2x of the same three DLFM calls made directly, a4 exactly 2
 # repository updates per read open for Sync tracking, a5 sync archiving
 # >= 4x slower closes at 2 MiB, a6 every crash recovering the last
 # committed bytes, a7 restore matching content to metadata, a8 0 vs 2

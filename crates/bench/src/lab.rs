@@ -13,8 +13,8 @@
 //!   count, lag drain, failover with link-state preservation.
 //! * [`Kind::CheckpointShipping`] — the a11 arms: WAL retention budgets
 //!   and fresh-standby delta catch-up.
-//! * [`Kind::FrontEnd`] — the a12 arms: upcall-pool bursts, fixed vs
-//!   adaptive, and agent churn over the shared executor.
+//! * [`Kind::FrontEnd`] — the a12 arms: upcall-pool bursts over the wire,
+//!   fixed vs adaptive, and agent churn over the shared executor.
 //! * [`Kind::Mixed`] — the generic client-mix loop with fault-injection
 //!   points (crash the primary at op N, stall/resume a standby, kill
 //!   upcall workers, exhaust the repository or host disk, shear the host
@@ -668,9 +668,10 @@ fn checkpoint_shipping(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String
 // ===========================================================================
 
 /// One timed burst of token-read cycles against `f`, `clients` threads x
-/// `cycles` each, all funnelling through the node's upcall pool (token
-/// validation + claimed read open + close, two repository commits per
-/// cycle). Records every cycle's latency into `lat`; returns cycles/sec.
+/// `cycles` each, all funnelling through the node's upcall pool over the
+/// wire (token validation + claimed read open + close, two repository
+/// commits per cycle). Records every cycle's latency into `lat`; returns
+/// cycles/sec.
 fn upcall_burst(f: &Fixture, clients: usize, cycles: usize, lat: &Histogram) -> f64 {
     // One token-embedded path per client, generated outside the timed
     // region: the burst measures the upcall admission path, not SELECT.
@@ -739,6 +740,9 @@ fn front_end(sc: &Scenario, plan: &Plan) -> Result<ScenarioRun, String> {
                         file_size: 1024,
                         db_sync_latency_ns: sync_ns,
                         upcall_pool: Some((pool_min, pool_max)),
+                        // In-process upcalls run on their caller; only wire
+                        // frames queue for the pool's workers.
+                        transport: Transport::Socket,
                         // A gather window on the repository's group commit:
                         // each commit parks its upcall worker for the
                         // window, so served concurrency — the pool's head
@@ -1006,8 +1010,9 @@ fn mixed_trial(sc: &Scenario, t: &TrialSpec) -> Result<MixedOutcome, String> {
 
     // The kill_upcall_workers injection point: an armed countdown the
     // upcall fault hook decrements — while positive, admission upcalls
-    // panic inside their pool worker (containment turns that into a
-    // `Rejected` reply; the op fails, the daemon lives).
+    // panic inside dispatch (in process that is the calling thread; the
+    // pool's containment turns the panic into a `Rejected` reply and
+    // counts it; the op fails, the daemon lives).
     let armed = Arc::new(AtomicI64::new(0));
     let fault: Option<FaultInjector> = if injections
         .iter()

@@ -551,13 +551,13 @@ fn a3_read_path(sc: &Scenario, t: &TrialSpec) -> Result<ScenarioRun, String> {
         let f = fixture(FixtureOptions { mode, n_files: 1, file_size: 4096, ..Default::default() });
         // rfd reads need no token; rdd reads do (select it once so only
         // the per-open cost is measured).
-        let path = if mode == ControlMode::Rdd {
-            f.token_path(0, TokenKind::Read)
-        } else {
-            f.paths[0].clone()
-        };
         let before = upcalls(&f);
-        let mut lat = open_close_ns(&f, &path, OpenOptions::read_only(), iters);
+        let (mut lat, direct) = if mode == ControlMode::Rdd {
+            let (lat, direct) = rdd_and_direct_ns(&f, &f.token_path(0, TokenKind::Read), iters)?;
+            (lat, Some(direct))
+        } else {
+            (open_close_ns(&f, &f.paths[0], OpenOptions::read_only(), iters), None)
+        };
         let per_open = (upcalls(&f) - before) as f64 / iters as f64;
         let (median, p99) = (percentile(&mut lat, 0.50), percentile(&mut lat, 0.99));
         rows.push(vec![
@@ -571,16 +571,75 @@ fn a3_read_path(sc: &Scenario, t: &TrialSpec) -> Result<ScenarioRun, String> {
             m(&format!("{mode}_open_p50_ns"), median as f64),
             m(&format!("{mode}_open_p99_ns"), p99 as f64),
         ]);
+        if let Some(mut direct) = direct {
+            let (direct_p50, direct_p99) =
+                (percentile(&mut direct, 0.50), percentile(&mut direct, 0.99));
+            rows.push(vec![
+                s("rdd, the same 3 DLFM calls made directly"),
+                fmt_ns(direct_p50 as f64),
+                fmt_ns(direct_p99 as f64),
+                s("--"),
+            ]);
+            metrics.extend([
+                m("rdd_direct_p50_ns", direct_p50 as f64),
+                m("rdd_vs_direct", median as f64 / direct_p50.max(1) as f64),
+            ]);
+        }
     }
     result(
         "read-open cost: rfd (FS-controlled reads) vs rdd (DBMS-controlled) — §4.2",
         &["mode", "open+close p50", "p99", "upcalls/open"],
         rows,
-        &["rfd: zero upcalls on the read path — the paper's key optimization; the price is \
+        &[
+            "rfd: zero upcalls on the read path — the paper's key optimization; the price is \
              the §5 read/write anomaly (demonstrated by test \
-             rfd_write_takes_slow_path_and_reads_stay_fast)"],
+             rfd_write_takes_slow_path_and_reads_stay_fast)",
+            "direct row: validate_token + open_check + close_notify called on the DLFM server, \
+             alternating call by call with the rdd open+close; rdd_vs_direct is the rdd \
+             open+close p50 over it, the cost DLFS and the upcall path add to the admission \
+             work itself",
+        ],
         metrics,
     )
+}
+
+/// Per-call ns of an rdd read open+close of `token_path` through the
+/// managed stack, and of the admission work it upcalls for (token
+/// validation, open check, close notification) called directly on the
+/// DLFM server. The two alternate call by call, so machine load drifting
+/// during the run shifts both alike.
+fn rdd_and_direct_ns(
+    f: &Fixture,
+    token_path: &str,
+    iters: u64,
+) -> Result<(Vec<u64>, Vec<u64>), String> {
+    let (dir, last) = token_path.rsplit_once('/').ok_or("token path has no '/'")?;
+    let (name, token) = dl_dlfm::split_token_suffix(last);
+    let token = token.ok_or("select_datalink returned no token")?;
+    let path = format!("{dir}/{name}");
+    let attr =
+        f.sys.raw_fs(SRV).expect("raw").stat(&Cred::root(), &path).map_err(|e| e.to_string())?;
+    let server = &f.sys.node(SRV).expect("node").server;
+    let fs = f.sys.fs(SRV).expect("fs");
+    let (mut managed, mut direct) = (Vec::new(), Vec::new());
+    for k in 0..iters {
+        let started = Instant::now();
+        let fd = fs.open(&APP, token_path, OpenOptions::read_only()).expect("open");
+        fs.close(fd).expect("close");
+        managed.push(started.elapsed().as_nanos() as u64);
+
+        // Opener ids far above any DLFS-issued one.
+        let opener = u64::MAX / 2 + k;
+        let started = Instant::now();
+        server.validate_token(&path, token, APP.uid)?;
+        match server.open_check(&path, APP.uid, TokenKind::Read, opener) {
+            dl_dlfm::OpenDecision::Approved { .. } => {}
+            other => return Err(format!("direct rdd admission: open_check gave {other:?}")),
+        }
+        server.close_notify(&path, opener, false, attr.size, attr.mtime)?;
+        direct.push(started.elapsed().as_nanos() as u64);
+    }
+    Ok((managed, direct))
 }
 
 // ===========================================================================

@@ -128,10 +128,6 @@ pub struct ServerRegistration {
     /// (`DlfmConfig::read_lane_width`). 1 reproduces the paper's
     /// one-validation-daemon prototype shape.
     pub read_lane_width: usize,
-    /// Live width source overriding `read_lane_width`: sampled on every
-    /// lane admission, so a lane driven by the node's pool-worker gauge
-    /// widens as the elastic pools grow (`DlfmConfig::read_lane_auto`).
-    pub read_lane_width_fn: Option<Arc<dyn Fn() -> usize + Send + Sync>>,
 }
 
 /// Per-registration read lane: the primary arm of the routed read path
@@ -147,44 +143,22 @@ pub struct ServerRegistration {
 /// group-commit pipeline would batch all concurrent validations on the
 /// primary and replica fan-out could never show its distributed-capacity
 /// win. The lane applies only to the routed read path — the DLFS upcall
-/// path (the elastic pool) is untouched.
+/// path is untouched.
 struct ReadLane {
-    width: LaneWidth,
+    width: usize,
     busy: Mutex<usize>,
     freed: parking_lot::Condvar,
 }
 
-/// Where a lane's width comes from: a fixed knob, or a live source
-/// sampled on every admission (the node's pool-worker gauge, so the lane
-/// tracks elastic pool growth — `DlfmConfig::read_lane_auto`).
-enum LaneWidth {
-    Fixed(usize),
-    Live(Arc<dyn Fn() -> usize + Send + Sync>),
-}
-
-impl LaneWidth {
-    fn current(&self) -> usize {
-        match self {
-            LaneWidth::Fixed(w) => *w,
-            LaneWidth::Live(f) => f(),
-        }
-        .max(1)
-    }
-}
-
 impl ReadLane {
-    fn new(width: LaneWidth) -> ReadLane {
-        ReadLane { width, busy: Mutex::new(0), freed: parking_lot::Condvar::new() }
+    fn new(width: usize) -> ReadLane {
+        ReadLane { width: width.max(1), busy: Mutex::new(0), freed: parking_lot::Condvar::new() }
     }
 
     fn acquire(self: &Arc<Self>) -> LaneGuard {
         let mut busy = self.busy.lock();
-        while *busy >= self.width.current() {
-            // Bounded wait, not a pure park: a live width can *grow*
-            // without any permit being released, and nobody signals the
-            // condvar when a pool spawns a worker — re-sample on a short
-            // period so waiting readers observe the wider lane.
-            self.freed.wait_for(&mut busy, std::time::Duration::from_millis(5));
+        while *busy >= self.width {
+            self.freed.wait(&mut busy);
         }
         *busy += 1;
         LaneGuard(Arc::clone(self))
@@ -318,24 +292,11 @@ impl DataLinksEngine {
     /// Re-registering a name replaces the previous registration — failover
     /// swaps the promoted server in this way.
     pub fn register_server(&self, reg: ServerRegistration) {
-        let width = match &reg.read_lane_width_fn {
-            Some(f) => LaneWidth::Live(Arc::clone(f)),
-            None => LaneWidth::Fixed(reg.read_lane_width),
-        };
-        self.read_lanes.write().insert(reg.name.clone(), Arc::new(ReadLane::new(width)));
-        self.lag_ewmas.write().entry(reg.name.clone()).or_default();
-        self.servers.write().insert(reg.name.clone(), reg);
-    }
-
-    /// Points `server`'s read lane at a live width source (sampled per
-    /// admission) — the width follows the node's real pool capacity
-    /// instead of a static knob. Waiting readers observe growth within a
-    /// few milliseconds (the lane re-samples its width source on every
-    /// acquire and on a short poll while parked).
-    pub fn set_read_lane_source(&self, server: &str, f: Arc<dyn Fn() -> usize + Send + Sync>) {
         self.read_lanes
             .write()
-            .insert(server.to_string(), Arc::new(ReadLane::new(LaneWidth::Live(f))));
+            .insert(reg.name.clone(), Arc::new(ReadLane::new(reg.read_lane_width)));
+        self.lag_ewmas.write().entry(reg.name.clone()).or_default();
+        self.servers.write().insert(reg.name.clone(), reg);
     }
 
     /// Registers the shard router of a partitioned logical server.

@@ -113,10 +113,11 @@ impl FileServerNode {
 
     /// Blocks until the node's upcall pool drains and every worker parks
     /// (or `timeout` elapses); returns whether it went idle. Test/bench
-    /// helper: a panicking upcall delivers its failure to the waiting
+    /// helper: a panicking wire upcall delivers its failure to the waiting
     /// client *before* the worker finishes unwinding, so a metrics
     /// snapshot taken the moment the client returns can read the pool's
-    /// panic counter one short.
+    /// panic counter one short. (An in-process upcall is counted before
+    /// its call returns.)
     pub fn quiesce_upcalls(&self, timeout: Duration) -> bool {
         self.upcall.wait_idle(timeout)
     }
@@ -191,20 +192,6 @@ impl FileServerSpec {
     /// recovery and failover — the rebuilt node keeps the same injector.
     pub fn upcall_fault_injector(mut self, fault: FaultInjector) -> FileServerSpec {
         self.upcall_fault = Some(fault);
-        self
-    }
-
-    /// Sizes the node's elastic front end in one stroke: the upcall pool
-    /// grows between `min` and `max` workers, and the routed-read
-    /// validation lane *follows the live pool size* — its width is the
-    /// system's `pool.total_workers` gauge sampled on every admission
-    /// (floor `min`), so a pool that grew under load widens the lane with
-    /// it instead of pinning it to a static knob.
-    pub fn front_end(mut self, min: usize, max: usize) -> FileServerSpec {
-        self.dlfm.upcall_workers_min = min.max(1);
-        self.dlfm.upcall_workers_max = max.max(min).max(1);
-        self.dlfm.read_lane_width = min.max(1);
-        self.dlfm.read_lane_auto = true;
         self
     }
 
@@ -732,7 +719,6 @@ impl DataLinksSystem {
             server: Arc::clone(&server),
             replication: replication.clone(),
             read_lane_width: part.dlfm_cfg.read_lane_width,
-            read_lane_width_fn: None,
         });
         Ok((
             FileServerNode {
@@ -1089,21 +1075,12 @@ impl DataLinksSystem {
         }
     }
 
-    /// (Re-)registers `name`'s live pools with the roster and — when the
-    /// node asked for it (`DlfmConfig::read_lane_auto`, set by
-    /// [`FileServerSpec::front_end`]) — points the node's read lane at
-    /// the roster's live worker total, floored at the configured width.
-    /// Called at assembly and after every failover rebuild, so the lane
-    /// keeps tracking the *current* incarnation's pools.
+    /// (Re-)registers `name`'s live pools with the roster. Called at
+    /// assembly and after every failover rebuild, so the `pool.total_*`
+    /// gauges track the *current* incarnation's pools.
     fn adopt_node_pools(&self, name: &str) {
         let Some(node) = self.nodes.get(name) else { return };
         self.pool_roster.set(name, vec![node.upcall.pool_probe(), node.main.executor_probe()]);
-        if node.dlfm_cfg.read_lane_auto {
-            let roster = Arc::clone(&self.pool_roster);
-            let floor = node.dlfm_cfg.read_lane_width.max(1);
-            self.engine
-                .set_read_lane_source(name, Arc::new(move || roster.total_workers().max(floor)));
-        }
     }
 
     /// Pushes the live worker-pool gauges (the elastic upcall pools and the
@@ -1550,7 +1527,6 @@ impl DataLinksSystem {
                 server: Arc::clone(&node.server),
                 replication: node.replication.clone(),
                 read_lane_width: node.dlfm_cfg.read_lane_width,
-                read_lane_width_fn: None,
             });
             let mut pending = node.server.pending_host_txns();
             pending.sort_unstable();

@@ -11,15 +11,16 @@
 //! * [`server`] — link/unlink sub-transactions driven by the host's 2PC,
 //!   the open/close protocol (token entries, serialization, take-over,
 //!   metadata refresh, rollback), and crash recovery.
-//! * [`upcall`] — the upcall daemon servicing DLFS (§2.2) over channels,
-//!   standing in for the kernel↔user-space IPC of the original.
+//! * [`upcall`] — the upcall daemon servicing DLFS (§2.2), standing in for
+//!   the kernel↔user-space IPC of the original: a direct call on the
+//!   caller's thread in process, its worker pool for wire frames.
 //! * [`agent`] — the main daemon and child agents serving link/unlink
 //!   requests from database agents (§2.2), multiplexed over one shared
 //!   executor, and the one fenced handler per agent operation that the
 //!   in-process and wire transports share.
-//! * [`pool`] — the elastic worker pool behind both the upcall daemon and
-//!   the agent executor: queue-depth growth, idle shrink, panic
-//!   containment.
+//! * [`pool`] — the elastic worker pool behind the upcall daemon's wire
+//!   workers and the agent executor: queue-depth growth, idle shrink,
+//!   panic containment, and inline runs under the same accounting.
 //! * [`archive`] — the versioned archive server with asynchronous archiving
 //!   and database-state-identifier tagging (§4.4).
 //! * [`modes`] — the DATALINK control modes (Table 1 + the new rfd/rdd).

@@ -1,5 +1,5 @@
-//! An elastic worker pool — the shared engine behind the adaptive upcall
-//! daemon and the agent executor.
+//! An elastic worker pool — the shared engine behind the upcall daemon's
+//! wire workers, the agent executor and the wire settle pool.
 //!
 //! The paper's prototype ran one upcall daemon and one child agent per
 //! database connection (§2.2). PR 2 widened the upcall side to a *fixed*
@@ -18,6 +18,12 @@
 //! * **panics are contained** — a handler that panics costs that task, not
 //!   the worker: the panic is caught, counted, and the worker returns to
 //!   the queue. A pool never dies from a poisoned request.
+//!
+//! A caller that would only block on the reply can skip the queue:
+//! [`ElasticPool::run_here`] runs the handler on the calling thread under
+//! the same panic containment and accounting. In-process upcalls take that
+//! path, so the upcall pool's workers serve wire frames only, and only
+//! wire load grows it.
 //!
 //! The pool is deliberately synchronous (no async runtime in this
 //! workspace): workers are OS threads, and the simulated device latencies
@@ -149,8 +155,7 @@ impl AtomicEwma {
 
 /// Type-erased live view of a pool's size, for components that aggregate
 /// capacity across pools of different task types (the system facade sums
-/// these into its `pool.total_workers` gauge and the auto-width read
-/// lane). Object-safe on purpose: an `ElasticPool<T>` is generic, a
+/// these into its `pool.total_workers` gauge). Object-safe on purpose: an `ElasticPool<T>` is generic, a
 /// `dyn PoolProbe` is not.
 pub trait PoolProbe: Send + Sync {
     /// Worker threads currently alive.
@@ -405,13 +410,27 @@ impl<T: Send + 'static> ElasticPool<T> {
                 stats.workers.fetch_sub(1, Ordering::Relaxed);
                 return;
             };
-            let start = Instant::now();
-            if catch_unwind(AssertUnwindSafe(|| handler(task))).is_err() {
-                stats.panics.fetch_add(1, Ordering::Relaxed);
-            }
-            stats.record_service(start.elapsed());
-            stats.tasks.fetch_add(1, Ordering::Relaxed);
+            Self::serve(stats, &*handler, task);
         }
+    }
+
+    /// Runs one task under the pool's accounting: a panic is caught and
+    /// counted, and the task's service time feeds the EWMA.
+    fn serve(stats: &PoolStats, handler: &(dyn Fn(T) + Send + Sync), task: T) {
+        let start = Instant::now();
+        if catch_unwind(AssertUnwindSafe(|| handler(task))).is_err() {
+            stats.panics.fetch_add(1, Ordering::Relaxed);
+        }
+        stats.record_service(start.elapsed());
+        stats.tasks.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Runs `task` through the handler on the *calling* thread, with the
+    /// same panic containment and `tasks`/`panics`/service-time accounting
+    /// as a worker. For callers that would only block on the reply anyway:
+    /// no queue, no wake-up, and the pool never grows for this work.
+    pub fn run_here(&self, task: T) {
+        Self::serve(&self.core.stats, &*self.handler, task);
     }
 
     pub fn stats(&self) -> &PoolStats {
@@ -527,6 +546,31 @@ mod tests {
         // And it still works afterwards.
         pool.submit(1);
         assert!(pool.wait_idle(Duration::from_secs(5)));
+    }
+
+    #[test]
+    fn run_here_serves_on_the_caller_with_worker_accounting() {
+        let ran_on = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&ran_on);
+        let pool = ElasticPool::new(
+            PoolOptions::adaptive("t", 1, 8),
+            Arc::new(move |x: u64| {
+                seen.lock().push(std::thread::current().id());
+                if x == 13 {
+                    panic!("injected");
+                }
+            }),
+        );
+        for x in [1, 13, 2] {
+            pool.run_here(x);
+        }
+        let me = std::thread::current().id();
+        assert_eq!(*ran_on.lock(), vec![me, me, me], "every task ran on the caller");
+        assert_eq!(pool.stats().tasks(), 3);
+        assert_eq!(pool.stats().panics(), 1, "the panic was caught and counted");
+        assert!(pool.stats().service_ewma() > Duration::ZERO);
+        assert_eq!(pool.stats().peak_workers(), 1, "inline work never grows the pool");
+        assert_eq!(pool.stats().peak_queue_depth(), 0);
     }
 
     #[test]

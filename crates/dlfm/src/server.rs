@@ -63,10 +63,11 @@ pub struct DlfmConfig {
     /// Options for the repository's embedded minidb — notably the commit
     /// pipeline (group commit vs per-commit sync, batch size, delay).
     pub db: dl_minidb::DbOptions,
-    /// Floor of the elastic upcall daemon pool: workers kept resident even
-    /// when idle. More than one lets concurrent opens/closes drive
-    /// concurrent repository commits (which the group-commit pipeline then
-    /// batches).
+    /// Floor of the elastic upcall daemon pool, which serves wire upcall
+    /// frames (in-process upcalls run on their caller): workers kept
+    /// resident even when idle. More than one lets concurrent wire
+    /// opens/closes drive concurrent repository commits (which the
+    /// group-commit pipeline then batches).
     pub upcall_workers_min: usize,
     /// Ceiling of the elastic upcall pool: how far a request burst may
     /// grow the worker count before requests queue. Set equal to
@@ -83,15 +84,8 @@ pub struct DlfmConfig {
     /// Concurrent routed-read validations the DataLinks engine may run
     /// against this node (its per-node `ReadLane` width). The default of 1
     /// models the paper's one-validation-daemon prototype so replica
-    /// fan-out experiments compare equal per-node capacity; scale it with
-    /// the upcall pool bounds when the front end is provisioned wider.
+    /// fan-out experiments compare equal per-node capacity.
     pub read_lane_width: usize,
-    /// Derive the engine's per-node `ReadLane` width from the live worker
-    /// count of this node's daemon pools instead of the static
-    /// `read_lane_width` knob. Set by `FileServerSpec::front_end`; the
-    /// default stays static so capacity-comparison experiments (equal
-    /// per-node lanes) are unaffected.
-    pub read_lane_auto: bool,
     /// How agents and upcalls reach this node: in-process queues
     /// ([`Transport::Local`], the default) or framed Unix-socket
     /// connections served by a `WireDaemon` ([`Transport::Socket`]).
@@ -119,7 +113,6 @@ impl DlfmConfig {
             upcall_idle_ms: 100,
             agent_executor_threads: 16,
             read_lane_width: 1,
-            read_lane_auto: false,
             transport: Transport::default(),
             flight_ring_capacity: 256,
         }

@@ -3,19 +3,25 @@
 //! files."
 //!
 //! DLFS runs in "the kernel" (our interposition layer); DLFM runs in user
-//! space. Their conversation is IPC — modelled here as a pool of daemon
-//! threads draining a queue of requests, each carrying a one-shot reply
-//! channel. The round-trip through the queue is the cost the paper's
-//! design works so hard to keep off the read path (§3.2, §4.2), and is what
-//! benches E2/E4/A2/A3 measure.
+//! space. Their conversation reaches DLFM in one of two ways:
 //!
-//! Since PR 5 the pool is *elastic* ([`crate::pool::ElasticPool`]): it
-//! grows from `DlfmConfig::upcall_workers_min` toward
-//! `DlfmConfig::upcall_workers_max` when the request backlog outruns the
-//! idle workers, and sheds back to the floor when the burst passes. A
-//! worker that panics mid-dispatch replies `Rejected` with the panic
-//! context and the pool lives on — a poisoned request costs one reply,
-//! never the daemon.
+//! * **In process** (`Transport::Local`, [`UpcallClient`]): each upcall is
+//!   a direct call. The daemon's dispatch handler runs on the caller's
+//!   thread through [`ElasticPool::run_here`]. The caller would block on
+//!   the reply anyway, so handing the request to a worker would add only
+//!   a queue push and two thread wake-ups to every token validation, open
+//!   check and close notification (§3.2, §4.2; benches E2/E4/A2/A3).
+//! * **Over the wire** (`Transport::Socket`, `crate::wire`): decoded frames
+//!   go to the daemon's elastic worker pool through
+//!   `UpcallClient::submit_with`, because a reactor thread must never
+//!   park in a repository commit. Only this path queues, so only it grows
+//!   the pool from `DlfmConfig::upcall_workers_min` toward
+//!   `DlfmConfig::upcall_workers_max` and sheds back when a burst passes.
+//!
+//! Both paths run the same handler under the same accounting. A dispatch
+//! that panics replies `Rejected` with the panic context and is counted
+//! in the pool's `panics`: a poisoned request costs one reply, never the
+//! daemon.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -55,9 +61,10 @@ pub enum UpcallReply {
     Rejected(String),
 }
 
-/// Where a worker delivers its reply: the blocking client's one-shot
-/// channel, or a closure (the wire daemon replies by encoding a frame —
-/// it must never park a reactor thread on a channel).
+/// Where dispatch delivers its reply: the in-process caller's one-shot
+/// channel (read right after the inline dispatch returns), or a closure
+/// (the wire daemon replies by encoding a frame — it must never park a
+/// reactor thread on a channel).
 pub(crate) enum ReplySink {
     Chan(Sender<UpcallReply>),
     Fn(Box<dyn FnOnce(UpcallReply) + Send>),
@@ -81,32 +88,37 @@ type Envelope = (UpcallRequest, ReplySink);
 /// regression tests inject through this).
 pub type FaultInjector = Arc<dyn Fn(&UpcallRequest) + Send + Sync>;
 
-/// Client handle held by DLFS. Cloneable; each call is one IPC round-trip.
-/// Clients keep the worker pool alive even after the [`UpcallDaemon`]
-/// handle is dropped (a crashing node abandons its daemons; a live mount
-/// does not lose its IPC endpoint).
+/// Client handle held by DLFS. Cloneable; each call is one upcall,
+/// dispatched on the calling thread. Clients keep the daemon's handler and
+/// pool alive even after the [`UpcallDaemon`] handle is dropped (a
+/// crashing node abandons its daemons; a live mount does not lose its
+/// endpoint).
 #[derive(Clone)]
 pub struct UpcallClient {
     pool: Arc<ElasticPool<Envelope>>,
     server: Arc<DlfmServer>,
     round_trips: Arc<AtomicU64>,
-    /// Queue wait + dispatch + reply, per round-trip — the IPC cost the
-    /// paper's zero-upcall read path avoids. Shared with the daemon so the
+    /// Dispatch + reply, per in-process upcall — the cost the paper's
+    /// zero-upcall read path avoids. Shared with the daemon so the
     /// telemetry registry sees every client's calls in one distribution.
     round_trip_ns: Arc<Histogram>,
 }
 
 impl UpcallClient {
+    /// One in-process upcall: the daemon's dispatch handler runs right
+    /// here on the caller's thread. The caller would block on the reply
+    /// anyway, so a pool handoff would add only a queue push and two
+    /// thread wake-ups. The pool still accounts the call, catches a panic
+    /// and answers it in-band, exactly as a worker would.
     fn call(&self, req: UpcallRequest) -> UpcallReply {
         self.round_trips.fetch_add(1, Ordering::Relaxed);
         let started = Instant::now();
         let (reply_tx, reply_rx) = bounded(1);
-        self.pool.submit((req, ReplySink::Chan(reply_tx)));
-        // A dropped reply sender no longer means the daemon died: worker
-        // panics are caught and answered in-band, so the only way the
-        // channel closes unreplied is the whole pool shutting down.
-        let reply =
-            reply_rx.recv().unwrap_or(UpcallReply::Rejected("upcall daemon is down".into()));
+        self.pool.run_here((req, ReplySink::Chan(reply_tx)));
+        // The handler replies before it returns, even on a panic.
+        let reply = reply_rx
+            .try_recv()
+            .unwrap_or(UpcallReply::Rejected("upcall handler returned no reply".into()));
         self.round_trip_ns.record_duration(started.elapsed());
         reply
     }
@@ -301,16 +313,17 @@ impl UpcallTransport for UpcallClient {
     }
 }
 
-/// The daemon: an elastic pool of worker threads draining one request
-/// queue.
+/// The daemon: the dispatch handler, and an elastic pool of worker threads
+/// that runs it for wire frames.
 ///
 /// The paper's prototype ran one upcall daemon; a single thread, however,
 /// serializes every token/open/close request and with it every repository
 /// commit — the group-commit pipeline never sees two committers at once.
-/// The pool is the moral equivalent of the multiple daemon processes a
-/// production DLFM runs, and since PR 5 its head count follows load
-/// instead of a fixed `upcall_workers` knob (see `crates/dlfm/src/pool.rs`
-/// for the growth/shrink rules).
+/// In process, every caller runs its own dispatch, so the daemon is as
+/// wide as its callers. Wire frames arrive on one reactor thread and need
+/// workers: the pool is the moral equivalent of the multiple daemon
+/// processes a production DLFM runs, and its head count follows the wire
+/// backlog (see `crates/dlfm/src/pool.rs` for the growth/shrink rules).
 pub struct UpcallDaemon {
     pool: Arc<ElasticPool<Envelope>>,
     round_trip_ns: Arc<Histogram>,

@@ -405,14 +405,24 @@ impl WalReader {
         self.view.read().base
     }
 
-    /// Blocks until the durable watermark exceeds `seen` or `timeout`
-    /// elapses; returns the current watermark either way.
-    pub fn wait_past(&self, seen: Lsn, timeout: Duration) -> Lsn {
+    /// Blocks until the durable watermark exceeds `seen`, `timeout`
+    /// elapses or [`WalReader::wake`] is called; returns the current
+    /// watermark either way. `stop` is checked under the signal lock before
+    /// parking, so a caller that sets its stop flag and then calls `wake`
+    /// can never leave this reader asleep for the full `timeout`.
+    pub fn wait_past(&self, seen: Lsn, timeout: Duration, stop: impl Fn() -> bool) -> Lsn {
         let mut durable = self.signal.durable.lock();
-        if *durable <= seen {
+        if *durable <= seen && !stop() {
             let _ = self.signal.grew.wait_for(&mut durable, timeout);
         }
         *durable
+    }
+
+    /// Wakes every reader parked in [`WalReader::wait_past`] on this log
+    /// (shipper shutdown).
+    pub fn wake(&self) {
+        let _durable = self.signal.durable.lock();
+        self.signal.grew.notify_all();
     }
 
     /// Reads all whole frames in `[from, durable)`. The watermark only ever
@@ -1143,13 +1153,13 @@ mod tests {
         let wal = Arc::new(Wal::open(Arc::clone(&d)).unwrap().0);
         let reader = wal.reader();
         // Timeout path: nothing appended.
-        assert_eq!(reader.wait_past(0, std::time::Duration::from_millis(10)), 0);
+        assert_eq!(reader.wait_past(0, std::time::Duration::from_millis(10), || false), 0);
         let w = Arc::clone(&wal);
         let t = std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(20));
             w.append(&WalRecord::Checkpoint { generation: 1 }).unwrap()
         });
-        let durable = reader.wait_past(0, std::time::Duration::from_secs(10));
+        let durable = reader.wait_past(0, std::time::Duration::from_secs(10), || false);
         let appended = t.join().unwrap();
         assert!(durable >= appended);
     }

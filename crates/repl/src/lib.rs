@@ -614,7 +614,9 @@ impl Replicator {
                     continue;
                 }
                 let seen = worker_core.cursor();
-                worker_core.feed.reader().wait_past(seen, Duration::from_millis(20));
+                worker_core.feed.reader().wait_past(seen, Duration::from_millis(20), || {
+                    worker_stop.load(Ordering::SeqCst)
+                });
                 if worker_paused.load(Ordering::SeqCst) {
                     continue;
                 }
@@ -688,9 +690,11 @@ impl Replicator {
         true
     }
 
-    /// Signals the daemon to stop and joins it. Idempotent.
+    /// Signals the daemon to stop, wakes it if it is parked on the feed,
+    /// and joins it. Idempotent.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
+        self.core.feed.reader().wake();
         if let Some(handle) = self.handle.lock().take() {
             let _ = handle.join();
         }
@@ -1051,6 +1055,31 @@ mod tests {
         let entry = standby.file_entry("/f").expect("replicated entry");
         assert_eq!(entry.cur_version, 3);
         assert!(stats.batches_shipped.load(Ordering::Relaxed) >= 1);
+    }
+
+    /// `stop` must not wait out the shipper's 20 ms park on an idle feed:
+    /// it wakes the feed, so failover stops the old shipper at once.
+    #[test]
+    fn stop_wakes_a_shipper_parked_on_an_idle_feed() {
+        let env = StorageEnv::mem();
+        let db = repo_like_db(&env);
+        for round in 0..20 {
+            let (standby, _fence, stats) = standby_for(&db, "srv1#0");
+            let repl = Replicator::spawn(
+                "srv1",
+                db.replication_feed(),
+                vec![standby as Arc<dyn ShipTarget>],
+                0,
+                stats,
+            );
+            assert!(repl.wait_caught_up(Duration::from_secs(5)));
+            // Let the shipper park on the feed with nothing to ship.
+            std::thread::sleep(Duration::from_millis(3));
+            let started = Instant::now();
+            repl.stop();
+            let took = started.elapsed();
+            assert!(took < Duration::from_millis(10), "round {round}: stop took {took:?}");
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! Front-end saturation scenarios: the elastic upcall pool under bursty
-//! load, agent connect/disconnect storms over the shared executor,
-//! and a property test that interleaves strict-link registration with the
-//! managed open/close protocol asserting no opener claim ever leaks.
+//! Front-end saturation scenarios: the elastic upcall pool under a bursty
+//! wire load, in-process upcalls dispatched on the caller's thread, agent
+//! connect/disconnect storms over the shared executor, and a property test
+//! that interleaves strict-link registration with the managed open/close
+//! protocol asserting no opener claim ever leaks.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -11,22 +12,24 @@ use proptest::prelude::*;
 
 use datalinks::core::{DataLinksSystem, DlColumnOptions, FileServerSpec};
 use datalinks::dlfm::{
-    AccessToken, ArchiveStore, ControlMode, DlfmConfig, DlfmServer, OnUnlink, OpenDecision,
-    TokenKind, Transport, UpcallDaemon, WireAgent,
+    AccessToken, ArchiveStore, ControlMode, DlfmConfig, DlfmServer, MainDaemon, OnUnlink,
+    OpenDecision, TokenKind, Transport, UpcallDaemon, UpcallRequest, UpcallTransport, WireAgent,
+    WireConnector, WireDaemon, WireUpcall,
 };
-use datalinks::fskit::{Clock, Cred, FileSystem, Lfs, MemFs, SimClock};
+use datalinks::fskit::{Clock, Cred, FileSystem, FsError, Lfs, MemFs, OpenOptions, SimClock};
 use datalinks::minidb::{Column, ColumnType, Participant, Schema, StorageEnv};
+use datalinks::obs::NetStats;
 
 const APP: Cred = Cred { uid: 100, gid: 100 };
 const SRV: &str = "srv";
 
 // ---------------------------------------------------------------------------
-// elastic upcall pool: burst growth, idle shrink
+// elastic upcall pool: burst growth, idle shrink (wire frames)
 // ---------------------------------------------------------------------------
 
 /// A standalone DLFM server whose repository pays a deterministic sync
 /// latency, so every token validation parks its upcall worker — the
-/// occupancy that forces pool growth.
+/// occupancy that forces pool growth on the wire path.
 fn slow_repo_server(min: usize, max: usize) -> (Arc<DlfmServer>, Arc<SimClock>) {
     let clock = Arc::new(SimClock::new(1_000_000));
     let fs = Arc::new(MemFs::with_clock(clock.clone()));
@@ -48,16 +51,25 @@ fn slow_repo_server(min: usize, max: usize) -> (Arc<DlfmServer>, Arc<SimClock>) 
     (server, clock)
 }
 
+/// In-process upcalls run on their caller, so only wire frames queue for
+/// the pool's workers: the burst arrives as `Transport::Socket` upcall
+/// frames on one reactor thread, exactly as DLFS sends them over
+/// [`WireUpcall`].
 #[test]
 fn upcall_burst_grows_the_pool_then_idles_back_to_the_floor() {
     let (server, clock) = slow_repo_server(2, 24);
-    let (daemon, client) = UpcallDaemon::spawn(Arc::clone(&server));
+    let (daemon, local) = UpcallDaemon::spawn(Arc::clone(&server));
+    let main = MainDaemon::new(Arc::clone(&server));
+    let wire =
+        WireDaemon::spawn(Arc::clone(&server), &main, local, Arc::new(NetStats::new())).unwrap();
+    let connector = WireConnector::new("burst", Arc::new(NetStats::new())).unwrap();
+    let client = WireUpcall(connector.connect(wire.socket_path(), "dlfs").unwrap());
 
     // Burst: 16 threads each validating tokens (every validation commits a
     // token entry into the slow repository, parking a worker ~400 µs).
     std::thread::scope(|scope| {
         for t in 0..16 {
-            let client = client.clone();
+            let client = &client;
             let key = server.config().token_key.clone();
             let now = clock.now_ms();
             scope.spawn(move || {
@@ -94,6 +106,63 @@ fn upcall_burst_grows_the_pool_then_idles_back_to_the_floor() {
 
     // And it still serves after shrinking.
     assert!(client.mutation_check("/d/f.bin").is_ok());
+}
+
+// ---------------------------------------------------------------------------
+// in-process upcalls: dispatched on the caller, panics answered in-band
+// ---------------------------------------------------------------------------
+
+/// A `Transport::Local` admission upcall is a direct call: the fault
+/// injector (which runs inside dispatch) sees the reading thread itself,
+/// and a panic injected there still comes back as a labelled `Rejected`
+/// and is counted once in `upcall_pool.panics`.
+#[test]
+fn local_upcalls_run_on_the_callers_thread_and_contain_panics() {
+    use dl_bench::{fixture_with_fault, FixtureOptions, SRV as NODE};
+
+    let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let injector = {
+        let seen = Arc::clone(&seen);
+        Arc::new(move |req: &UpcallRequest| {
+            seen.lock().unwrap().push(std::thread::current().id());
+            if let UpcallRequest::ValidateToken { path, .. } = req {
+                if path.ends_with("doc0001.bin") {
+                    panic!("injected admission fault");
+                }
+            }
+        })
+    };
+    let f = fixture_with_fault(
+        FixtureOptions { n_files: 2, ..Default::default() },
+        Some(injector),
+        None,
+    );
+    assert_eq!(f.sys.node(NODE).unwrap().server.config().transport, Transport::Local);
+    let fs = f.sys.fs(NODE).unwrap();
+    let ok_path = f.token_path(0, TokenKind::Read);
+    let boom_path = f.token_path(1, TokenKind::Read);
+
+    // One rdd read: token validation, open check, close notification.
+    seen.lock().unwrap().clear();
+    let fd = fs.open(&APP, &ok_path, OpenOptions::read_only()).unwrap();
+    fs.close(fd).unwrap();
+    let me = std::thread::current().id();
+    assert_eq!(*seen.lock().unwrap(), vec![me; 3], "each of the three upcalls ran on the reader");
+
+    match fs.open(&APP, &boom_path, OpenOptions::read_only()) {
+        Err(FsError::Rejected(msg)) => assert!(
+            msg.contains("upcall worker panicked while serving ValidateToken")
+                && msg.contains("injected admission fault"),
+            "panic must come back in-band with its label, got: {msg}"
+        ),
+        other => panic!("a panicking validation must reject the open, got {other:?}"),
+    }
+    assert_eq!(f.sys.metrics().gauges["dlfm.srv1.upcall_pool.panics"], 1.0);
+
+    // The reader survived its own upcall's panic and keeps reading.
+    let fd = fs.open(&APP, &ok_path, OpenOptions::read_only()).unwrap();
+    fs.close(fd).unwrap();
+    assert_eq!(f.sys.metrics().gauges["dlfm.srv1.upcall_pool.panics"], 1.0);
 }
 
 // ---------------------------------------------------------------------------
