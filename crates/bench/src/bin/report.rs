@@ -20,7 +20,7 @@
 //! ```text
 //! report --gate 'bench-results/BENCH_a14.json::local baseline' \
 //!               'bench-results/BENCH_a14.json::wire churn' \
-//!               --column ops/s --min-ratio 0.05
+//!               --column ops/s --min-ratio 0.11
 //! ```
 //!
 //! Exit status: `0` pass, `1` regression or gate failure, `2` bad

@@ -656,8 +656,7 @@ impl DataLinksSystem {
                     client,
                     Arc::new(NetStats::new()),
                 )?;
-                let connector =
-                    Arc::new(WireConnector::new(&part.name, Arc::new(NetStats::new()))?);
+                let connector = Arc::new(WireConnector::new(Arc::new(NetStats::new())));
                 let agent = Arc::new(WireAgent(connector.connect(daemon.socket_path(), "engine")?));
                 let upc = Arc::new(WireUpcall(connector.connect(daemon.socket_path(), "dlfs")?));
                 (Some(WireLink { daemon, connector }), agent, upc)
@@ -1038,8 +1037,9 @@ impl DataLinksSystem {
         if let Some(wire) = &node.wire {
             // Server-side frame/connection instruments under
             // `net.<name>.*`; the client connector contributes the
-            // caller-observed round-trip distribution and the node's
-            // presumed-abort resolution count rides alongside.
+            // caller-observed round-trip distribution and its expired
+            // calls, and the node's presumed-abort resolution count rides
+            // alongside.
             let stats = Arc::clone(wire.daemon.stats());
             macro_rules! net_counter {
                 ($field:ident) => {{
@@ -1071,6 +1071,10 @@ impl DataLinksSystem {
             let cli = Arc::clone(wire.connector.stats());
             registry.register_histogram_fn(&format!("net.{name}.round_trip_ns"), move || {
                 cli.round_trip_ns.snapshot()
+            });
+            let cli = Arc::clone(wire.connector.stats());
+            registry.register_counter_fn(&format!("net.{name}.call_timeouts"), move || {
+                cli.call_timeouts.get()
             });
         }
     }

@@ -52,4 +52,4 @@ pub use token::{
 pub use upcall::{
     FaultInjector, UpcallClient, UpcallDaemon, UpcallReply, UpcallRequest, UpcallTransport,
 };
-pub use wire::{WireAgent, WireConn, WireConnector, WireDaemon, WireUpcall};
+pub use wire::{WireAgent, WireConn, WireConnector, WireDaemon, WireUpcall, WIRE_CALL_TIMEOUT};

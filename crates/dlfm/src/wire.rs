@@ -16,10 +16,13 @@
 //!   Link, unlink, prepare and decide run the same fenced handlers as the
 //!   in-process path (`crate::agent::serve_*`); this module adds only the
 //!   transport's bookkeeping: tombstones, in-flight host transactions per
-//!   connection, and the reply frame.
-//! * [`WireConnector`] / [`WireConn`] — the client. One reactor
-//!   multiplexes any number of outbound connections; each call is a
-//!   request-id-correlated frame round-trip.
+//!   connection, and the reply frame, which the thread that produced it
+//!   writes straight to the socket.
+//! * [`WireConnector`] / [`WireConn`] — the client, which runs no thread
+//!   of its own. Each connection owns its socket; each call writes a
+//!   request-id-stamped frame, and whichever waiting caller holds the
+//!   read turn reads the replies and hands each to its owner. A round
+//!   trip is two thread hops: caller → server, server → caller.
 //! * [`WireAgent`] / [`WireUpcall`] — adapters giving the wire client the
 //!   [`AgentConnection`] and [`UpcallTransport`] surfaces, so the engine
 //!   and DLFS cannot tell the transports apart.
@@ -33,14 +36,17 @@
 //! sub-transaction leaks the resolution sweep.
 
 use std::collections::{HashMap, HashSet};
+use std::io::{self, Read, Write};
+use std::net::Shutdown;
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dl_net::{Message, NetEvent, Reactor, ReactorHandle};
+use dl_net::{encode_frame, FrameDecoder, Message, NetEvent, Reactor, ReactorHandle};
 use dl_obs::{Counter, NetStats};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::agent::{
     serve_decide, serve_link, serve_prepare, serve_unlink, AgentConnection, MainDaemon,
@@ -51,10 +57,15 @@ use crate::server::{DlfmServer, OpenDecision};
 use crate::token::TokenKind;
 use crate::upcall::{UpcallClient, UpcallReply, UpcallRequest, UpcallTransport};
 
-/// How long a client waits for a reply frame before declaring the call
-/// lost. Generous: every server-side stage is pool-queued, and a stall
-/// this long means the connection or the daemon is gone.
-const CALL_TIMEOUT: Duration = Duration::from_secs(30);
+/// How long a wire call waits for its reply before it fails. Generous:
+/// every server-side stage is pool-queued, and a stall this long means
+/// the connection or the daemon is gone. Expired calls are counted in
+/// `net.<node>.call_timeouts`.
+pub const WIRE_CALL_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// The longest one blocking read of the caller holding a connection's
+/// read turn; between reads it re-checks its own deadline.
+const READ_SLICE: Duration = Duration::from_millis(50);
 
 // Enum ↔ u8 wire mappings. `dl-net` carries raw discriminants so it
 // stays independent of DLFM's type definitions; this module is the one
@@ -167,7 +178,7 @@ impl WireDaemon {
         let presumed_aborts = Arc::new(Counter::new());
         let reactor = {
             let (settle, presumed_aborts) = (Arc::clone(&settle), Arc::clone(&presumed_aborts));
-            Reactor::spawn(&format!("wire-{name}"), Some(listener), Arc::clone(&stats), |h| {
+            Reactor::spawn(&format!("wire-{name}"), listener, Arc::clone(&stats), |h| {
                 let front = Arc::new(Front {
                     h: h.clone(),
                     server,
@@ -457,57 +468,17 @@ impl Front {
     }
 }
 
-/// Per-connection client state shared with the connector's event handler.
-#[derive(Default)]
-struct ConnShared {
-    /// Outstanding calls by request-id; the handler routes reply frames
-    /// here. Dropping a sender fails the waiting caller fast.
-    pending: Mutex<HashMap<u64, mpsc::Sender<Message>>>,
-    dead: AtomicBool,
-    round_trips: AtomicU64,
-}
-
-/// The client side: one reactor multiplexing any number of outbound wire
-/// connections.
+/// The client side: mints wire connections and owns the instruments they
+/// share. It runs no thread — each connection's callers do their own I/O.
 pub struct WireConnector {
-    _reactor: Reactor,
-    handle: ReactorHandle,
-    conns: Arc<Mutex<HashMap<u64, Arc<ConnShared>>>>,
     stats: Arc<NetStats>,
 }
 
 impl WireConnector {
-    /// Starts the client reactor. `stats` sees every connection's frames
-    /// and the caller-observed round-trip latency.
-    pub fn new(name: &str, stats: Arc<NetStats>) -> Result<WireConnector, String> {
-        let conns: Arc<Mutex<HashMap<u64, Arc<ConnShared>>>> = Arc::new(Mutex::new(HashMap::new()));
-        let reactor = {
-            let conns = Arc::clone(&conns);
-            Reactor::spawn(&format!("wire-cli-{name}"), None, Arc::clone(&stats), |_h| {
-                move |ev| match ev {
-                    NetEvent::Accepted(_) => {}
-                    NetEvent::Frame { conn, request_id, msg } => {
-                        let shared = conns.lock().get(&conn).map(Arc::clone);
-                        if let Some(shared) = shared {
-                            if let Some(tx) = shared.pending.lock().remove(&request_id) {
-                                let _ = tx.send(msg);
-                            }
-                        }
-                    }
-                    NetEvent::Disconnected(conn) => {
-                        if let Some(shared) = conns.lock().remove(&conn) {
-                            shared.dead.store(true, Ordering::Relaxed);
-                            // Drop every waiting caller's sender: they get
-                            // a RecvError now instead of a full timeout.
-                            shared.pending.lock().clear();
-                        }
-                    }
-                }
-            })
-            .map_err(|e| format!("spawn wire client reactor: {e}"))?
-        };
-        let handle = reactor.handle();
-        Ok(WireConnector { _reactor: reactor, handle, conns, stats })
+    /// `stats` sees every connection's frames, the caller-observed
+    /// round-trip latency and expired calls.
+    pub fn new(stats: Arc<NetStats>) -> WireConnector {
+        WireConnector { stats }
     }
 
     /// Opens a connection to a [`WireDaemon`]'s socket and performs the
@@ -515,17 +486,25 @@ impl WireConnector {
     /// coordinator epoch the server held at connect time — exactly like
     /// an in-process agent handle, so failover fencing works unchanged.
     pub fn connect(&self, socket: &Path, client: &str) -> Result<Arc<WireConn>, String> {
-        let stream = std::os::unix::net::UnixStream::connect(socket)
+        let stream = UnixStream::connect(socket)
+            .and_then(|s| {
+                s.set_read_timeout(Some(READ_SLICE))?;
+                s.set_write_timeout(Some(WIRE_CALL_TIMEOUT))?;
+                Ok(s)
+            })
             .map_err(|e| format!("connect {}: {e}", socket.display()))?;
-        let id = self.handle.register(stream).map_err(|e| format!("register wire conn: {e}"))?;
-        let shared = Arc::new(ConnShared::default());
-        self.conns.lock().insert(id, Arc::clone(&shared));
+        self.stats.connection_opened();
         let mut conn = WireConn {
-            id,
-            handle: self.handle.clone(),
-            shared,
+            stream,
+            write_turn: Mutex::new(()),
+            state: Mutex::new(CallState {
+                pending: HashMap::new(),
+                read_turn: Some(FrameDecoder::new()),
+                dead: false,
+            }),
             stats: Arc::clone(&self.stats),
             next_req: AtomicU64::new(1),
+            round_trips: AtomicU64::new(0),
             server_name: String::new(),
             coord_epoch: 0,
             strict_link: false,
@@ -551,14 +530,43 @@ impl WireConnector {
     }
 }
 
+/// One call waiting for its reply.
+struct Waiter {
+    /// Filled by whichever caller holds the read turn.
+    reply: Option<Message>,
+    /// Wakes this caller: its reply arrived, the read turn passed to it,
+    /// or the connection died.
+    wake: Arc<Condvar>,
+}
+
+struct CallState {
+    /// Calls in flight by request id. A reply whose id is not here — its
+    /// caller gave up — is dropped.
+    pending: HashMap<u64, Waiter>,
+    /// The socket's decoder; `None` while a caller holds the read turn.
+    read_turn: Option<FrameDecoder>,
+    dead: bool,
+}
+
 /// One client connection: request-id-correlated call/reply over a frame
 /// stream, plus the session parameters cached from the Hello handshake.
+///
+/// Callers do the I/O themselves. Each call writes its frame under the
+/// write turn; the first caller still waiting takes the read turn and
+/// reads the socket, handing every reply it decodes to its owner by
+/// request id, while the others park until their reply (or the read
+/// turn) comes to them. Any number of callers pipeline on one connection
+/// and replies may arrive in any order — a call parked on a server-side
+/// row lock holds up no other.
 pub struct WireConn {
-    id: u64,
-    handle: ReactorHandle,
-    shared: Arc<ConnShared>,
+    stream: UnixStream,
+    /// Serializes frame writes, so concurrent callers' frames never
+    /// interleave on the socket.
+    write_turn: Mutex<()>,
+    state: Mutex<CallState>,
     stats: Arc<NetStats>,
     next_req: AtomicU64,
+    round_trips: AtomicU64,
     server_name: String,
     coord_epoch: u64,
     strict_link: bool,
@@ -568,26 +576,139 @@ pub struct WireConn {
 
 impl WireConn {
     /// One frame round-trip: send `msg`, block until the correlated reply
-    /// arrives, the connection dies, or the 30 s call timeout passes.
+    /// arrives, the connection dies, or [`WIRE_CALL_TIMEOUT`] passes.
     pub fn call(&self, msg: Message) -> Result<Message, String> {
-        if self.shared.dead.load(Ordering::Relaxed) {
-            return Err(format!("wire connection to '{}' is closed", self.server_name));
-        }
+        self.call_until(msg, Instant::now() + WIRE_CALL_TIMEOUT)
+    }
+
+    fn call_until(&self, msg: Message, deadline: Instant) -> Result<Message, String> {
         let rid = self.next_req.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = mpsc::channel();
-        self.shared.pending.lock().insert(rid, tx);
+        let wake = Arc::new(Condvar::new());
+        {
+            let mut st = self.state.lock();
+            if st.dead {
+                return Err(format!("wire connection to '{}' is closed", self.server_name));
+            }
+            // Registered before the frame leaves, so the reply always
+            // finds its slot.
+            st.pending.insert(rid, Waiter { reply: None, wake: Arc::clone(&wake) });
+        }
         let started = Instant::now();
-        self.handle.send(self.id, rid, &msg);
-        match rx.recv_timeout(CALL_TIMEOUT) {
-            Ok(reply) => {
-                self.stats.round_trip_ns.record_duration(started.elapsed());
-                self.shared.round_trips.fetch_add(1, Ordering::Relaxed);
-                Ok(reply)
+        let frame = encode_frame(rid, &msg);
+        let written = {
+            let _turn = self.write_turn.lock();
+            (&self.stream).write_all(&frame)
+        };
+        let mut st = self.state.lock();
+        match written {
+            Ok(()) => {
+                self.stats.frames_out.inc();
+                self.stats.bytes_out.add(frame.len() as u64);
             }
-            Err(_) => {
-                self.shared.pending.lock().remove(&rid);
-                Err(format!("wire call to '{}' failed: connection lost", self.server_name))
+            // A torn frame desynchronizes the stream for every caller.
+            Err(_) => self.mark_dead(&mut st),
+        }
+        let outcome = loop {
+            if let Some(reply) = st.pending.get_mut(&rid).and_then(|w| w.reply.take()) {
+                break Ok(reply);
             }
+            if st.dead {
+                break Err(format!("wire call to '{}' failed: connection lost", self.server_name));
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                self.stats.call_timeouts.inc();
+                break Err(format!(
+                    "wire call to '{}' timed out after {:?}",
+                    self.server_name,
+                    now - started
+                ));
+            }
+            match st.read_turn.take() {
+                Some(mut decoder) => {
+                    let read = MutexGuard::unlocked(&mut st, || self.read_slice(&mut decoder));
+                    st.read_turn = Some(decoder);
+                    match read {
+                        Ok(frames) => {
+                            for (id, reply) in frames {
+                                if let Some(w) = st.pending.get_mut(&id) {
+                                    w.reply = Some(reply);
+                                    if id != rid {
+                                        w.wake.notify_one();
+                                    }
+                                }
+                            }
+                        }
+                        Err(()) => self.mark_dead(&mut st),
+                    }
+                }
+                None => {
+                    wake.wait_for(&mut st, deadline - now);
+                }
+            }
+        };
+        st.pending.remove(&rid);
+        // Pass the read turn on: someone still waiting must read next.
+        if st.read_turn.is_some() {
+            if let Some(w) = st.pending.values().find(|w| w.reply.is_none()) {
+                w.wake.notify_one();
+            }
+        }
+        drop(st);
+        if outcome.is_ok() {
+            self.stats.round_trip_ns.record_duration(started.elapsed());
+            self.round_trips.fetch_add(1, Ordering::Relaxed);
+        }
+        outcome
+    }
+
+    /// One read of at most [`READ_SLICE`], decoded into whole frames
+    /// (none when the slice passed quietly). `Err` means the connection is
+    /// over: EOF, a socket error, or bytes that do not decode.
+    fn read_slice(&self, decoder: &mut FrameDecoder) -> Result<Vec<(u64, Message)>, ()> {
+        let mut buf = [0u8; 8192];
+        let n = loop {
+            match (&self.stream).read(&mut buf) {
+                Ok(0) => return Err(()),
+                Ok(n) => break n,
+                Err(e)
+                    if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
+                {
+                    return Ok(Vec::new())
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => return Err(()),
+            }
+        };
+        self.stats.bytes_in.add(n as u64);
+        decoder.feed(&buf[..n]);
+        let mut frames = Vec::new();
+        loop {
+            match decoder.next_frame() {
+                Ok(Some(frame)) => {
+                    self.stats.frames_in.inc();
+                    frames.push(frame);
+                }
+                Ok(None) => return Ok(frames),
+                Err(_) => {
+                    self.stats.decode_errors.inc();
+                    return Err(());
+                }
+            }
+        }
+    }
+
+    /// Marks the connection dead (once): shuts the socket down, which
+    /// also ends a read in progress, and fails every waiting call.
+    fn mark_dead(&self, st: &mut CallState) {
+        if st.dead {
+            return;
+        }
+        st.dead = true;
+        let _ = self.stream.shutdown(Shutdown::Both);
+        self.stats.connection_closed();
+        for w in st.pending.values() {
+            w.wake.notify_one();
         }
     }
 
@@ -595,12 +716,14 @@ impl WireConn {
     /// a14 scenario's fault injection: whatever 2PC state the connection
     /// held must resolve by presumed abort on the server.
     pub fn sever(&self) {
-        self.handle.close(self.id);
+        self.mark_dead(&mut self.state.lock());
     }
 
-    /// Has the connection been torn down (severed or lost)?
+    /// Has the connection been torn down? A sever flips it at once; a
+    /// server that went away is noticed by the next call on the
+    /// connection.
     pub fn is_dead(&self) -> bool {
-        self.shared.dead.load(Ordering::Relaxed)
+        self.state.lock().dead
     }
 
     /// The server's repository durable LSN — the wire form of the
@@ -618,6 +741,12 @@ impl WireConn {
             Message::Err(e) => Err(e),
             other => Err(format!("unexpected reply {other:?}")),
         }
+    }
+}
+
+impl Drop for WireConn {
+    fn drop(&mut self) {
+        self.sever();
     }
 }
 
@@ -773,6 +902,118 @@ impl UpcallTransport for WireUpcall {
     }
 
     fn round_trip_count(&self) -> u64 {
-        self.0.shared.round_trips.load(Ordering::Relaxed)
+        self.0.round_trips.load(Ordering::Relaxed)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::os::unix::net::UnixListener;
+    use std::sync::mpsc;
+
+    /// A hand-driven server end: answers the Hello handshake, then lets
+    /// the test read requests and write replies in any order it likes.
+    struct RawPeer {
+        stream: UnixStream,
+        decoder: FrameDecoder,
+    }
+
+    impl RawPeer {
+        fn accept(listener: &UnixListener) -> RawPeer {
+            let (stream, _) = listener.accept().unwrap();
+            let mut peer = RawPeer { stream, decoder: FrameDecoder::new() };
+            let (rid, hello) = peer.next_request();
+            assert!(matches!(hello, Message::Hello { .. }));
+            peer.reply(
+                rid,
+                &Message::HelloAck {
+                    server: "raw".into(),
+                    coord_epoch: 1,
+                    strict_link: false,
+                    dlfm_uid: 0,
+                    dlfm_gid: 0,
+                },
+            );
+            peer
+        }
+
+        fn next_request(&mut self) -> (u64, Message) {
+            let mut buf = [0u8; 4096];
+            loop {
+                if let Some(frame) = self.decoder.next_frame().unwrap() {
+                    return frame;
+                }
+                let n = self.stream.read(&mut buf).unwrap();
+                assert!(n > 0, "client hung up");
+                self.decoder.feed(&buf[..n]);
+            }
+        }
+
+        fn reply(&mut self, rid: u64, msg: &Message) {
+            self.stream.write_all(&encode_frame(rid, msg)).unwrap();
+        }
+    }
+
+    /// A raw server on a fresh socket running `serve`, and a client
+    /// connection to it.
+    fn raw_pair(
+        tag: &str,
+        serve: impl FnOnce(RawPeer) + Send + 'static,
+    ) -> (Arc<WireConn>, std::thread::JoinHandle<()>) {
+        let path =
+            std::env::temp_dir().join(format!("dl-wire-unit-{}-{tag}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let listener = UnixListener::bind(&path).unwrap();
+        let server = std::thread::spawn(move || serve(RawPeer::accept(&listener)));
+        let conn = WireConnector::new(Arc::new(NetStats::new())).connect(&path, "t").unwrap();
+        let _ = std::fs::remove_file(&path);
+        (conn, server)
+    }
+
+    #[test]
+    fn callers_sharing_a_connection_each_get_their_own_out_of_order_reply() {
+        // The server holds every reply until all eight calls are in
+        // flight, then answers newest first, echoing each request.
+        let (conn, server) = raw_pair("reverse", |mut peer| {
+            let requests: Vec<_> = (0..8).map(|_| peer.next_request()).collect();
+            for (rid, msg) in requests.into_iter().rev() {
+                peer.reply(rid, &msg);
+            }
+        });
+        std::thread::scope(|scope| {
+            for t in 0..8 {
+                let conn = &conn;
+                scope.spawn(move || {
+                    let mine = Message::MutationCheck { path: format!("/t{t}") };
+                    assert_eq!(conn.call(mine.clone()).unwrap(), mine);
+                });
+            }
+        });
+        server.join().unwrap();
+        assert!(conn.state.lock().pending.is_empty());
+        assert_eq!(conn.round_trips.load(Ordering::Relaxed), 9, "Hello plus eight calls");
+    }
+
+    #[test]
+    fn an_expired_call_is_counted_and_its_late_reply_dropped() {
+        let (expired_tx, expired_rx) = mpsc::channel();
+        let (conn, server) = raw_pair("timeout", move |mut peer| {
+            let (late, _) = peer.next_request();
+            expired_rx.recv().unwrap();
+            peer.reply(late, &Message::EpochIs(1));
+            let (rid, _) = peer.next_request();
+            peer.reply(rid, &Message::EpochIs(2));
+        });
+        let err = conn
+            .call_until(Message::EpochGet, Instant::now() + Duration::from_millis(20))
+            .unwrap_err();
+        assert!(err.contains("timed out"), "{err}");
+        assert_eq!(conn.stats.call_timeouts.get(), 1);
+        expired_tx.send(()).unwrap();
+        assert_eq!(conn.call(Message::EpochGet).unwrap(), Message::EpochIs(2));
+        server.join().unwrap();
+        assert!(conn.state.lock().pending.is_empty(), "the late reply is not kept");
+        assert!(!conn.is_dead(), "a timeout costs the call, not the connection");
     }
 }

@@ -14,15 +14,18 @@
 //!   [u8 tag][payload]` frame. The decoder is incremental: partial reads
 //!   and torn frames park until more bytes arrive, garbage fails with a
 //!   [`DecodeError`] instead of a panic.
-//! * [`Reactor`] / [`ReactorHandle`] / [`NetEvent`] — the runtime. One
-//!   poller thread drives readiness over nonblocking
-//!   `std::os::unix::net` sockets (hand-declared poll(2), no tokio/mio),
-//!   keeping per-connection read buffers and bounded write queues; frame
-//!   and connection events surface through a caller-supplied handler.
+//! * [`Reactor`] / [`ReactorHandle`] / [`NetEvent`] — the server runtime.
+//!   One poller thread accepts from a listener and drives readiness over
+//!   nonblocking `std::os::unix::net` sockets (hand-declared poll(2), no
+//!   tokio/mio), reading every connection and surfacing frame and
+//!   connection events through a caller-supplied handler. Sends write through on the
+//!   sending thread; the poller only finishes writes a full socket
+//!   buffer refused.
 //!
-//! Higher layers (`dl-dlfm`'s `WireDaemon` and wire clients) map these
-//! frames onto the in-process server machinery; this crate knows nothing
-//! about DLFM itself.
+//! Higher layers (`dl-dlfm`'s `WireDaemon`) map these frames onto the
+//! in-process server machinery; `dl-dlfm`'s wire client needs only the
+//! codec, since its callers read their own replies. This crate knows
+//! nothing about DLFM itself.
 
 mod frame;
 mod reactor;

@@ -1,12 +1,19 @@
 //! A small poll(2)-driven reactor over nonblocking Unix-domain sockets.
 //!
-//! One thread owns every socket: it polls for readiness, drains readable
-//! connections through a [`FrameDecoder`], flushes bounded write queues,
-//! and accepts new connections from an optional listener. Everything the
-//! caller sees arrives as a [`NetEvent`] through the handler closure —
-//! the handler runs *on the poller thread*, so it must never block on
-//! work that itself needs the poller (hand such work to an executor and
-//! reply later through the [`ReactorHandle`]).
+//! One thread owns every socket's read side: it polls for readiness,
+//! drains readable connections through a [`FrameDecoder`], flushes write
+//! queues that a full socket buffer left behind, and accepts new
+//! connections from the listener. Everything the caller sees
+//! arrives as a [`NetEvent`] through the handler closure — the handler
+//! runs *on the poller thread*, so it must never block on work that
+//! itself needs the poller (hand such work to an executor and reply later
+//! through the [`ReactorHandle`]).
+//!
+//! Sends write through: [`ReactorHandle::send`] writes the frame on the
+//! calling thread — a pool worker, the poller itself, anyone — under the
+//! connection's writer lock, which the poller shares. Only what a full
+//! socket buffer refused is queued, and only then is the poller woken to
+//! wait for writability, so an uncongested reply costs no poller wakeup.
 //!
 //! Built only on `std::os::unix::net` plus a hand-declared poll(2) FFI —
 //! no tokio, no mio. A `UnixStream::pair` serves as the waker: any
@@ -15,6 +22,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
+use std::net::Shutdown;
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,8 +54,7 @@ extern "C" {
 /// What the reactor tells its owner. `Frame` carries the request-id so a
 /// server can stamp its reply and a client can correlate it.
 pub enum NetEvent {
-    /// A connection is up: accepted from the listener, or registered by
-    /// a client through [`ReactorHandle::register`].
+    /// A connection is up: accepted from the listener.
     Accepted(u64),
     /// A complete frame arrived on `conn`.
     Frame { conn: u64, request_id: u64, msg: Message },
@@ -58,53 +65,135 @@ pub enum NetEvent {
 }
 
 enum Cmd {
-    Register { id: u64, stream: UnixStream },
-    Send { id: u64, bytes: Vec<u8> },
     Close { id: u64 },
     Shutdown,
 }
 
-/// A clonable handle for talking to the poller thread from outside.
-#[derive(Clone)]
-pub struct ReactorHandle {
-    cmds: Arc<Mutex<Vec<Cmd>>>,
-    waker: Arc<UnixStream>,
-    next_conn: Arc<AtomicU64>,
+/// One connection's socket, shared by the poller (reads, queued writes)
+/// and every thread that sends on it.
+struct Endpoint {
+    stream: UnixStream,
+    out: Mutex<OutQueue>,
+}
+
+impl Endpoint {
+    /// Drops whatever is still queued and refuses later sends.
+    fn close_queue(&self) {
+        let mut out = self.out.lock();
+        out.closed = true;
+        out.frames.clear();
+    }
+}
+
+/// Frames a full socket buffer refused, oldest first. While any are
+/// queued, new frames join the tail, so frames never reorder or
+/// interleave; the poller flushes the queue on writability.
+#[derive(Default)]
+struct OutQueue {
+    frames: VecDeque<Vec<u8>>,
+    /// Bytes of `frames.front()` already written.
+    pos: usize,
+    /// Set at teardown: later sends are dropped.
+    closed: bool,
+}
+
+enum Flush {
+    Drained,
+    Blocked,
+    Failed,
+}
+
+impl OutQueue {
+    /// Writes queued bytes until the queue drains, the socket buffer
+    /// fills, or the socket fails.
+    fn flush(&mut self, stream: &UnixStream, stats: &NetStats) -> Flush {
+        let mut stream = stream;
+        while let Some(front) = self.frames.front() {
+            match stream.write(&front[self.pos..]) {
+                Ok(n) => {
+                    stats.bytes_out.add(n as u64);
+                    self.pos += n;
+                    if self.pos >= front.len() {
+                        self.frames.pop_front();
+                        self.pos = 0;
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    stats.backpressure_stalls.inc();
+                    return Flush::Blocked;
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => return Flush::Failed,
+            }
+        }
+        Flush::Drained
+    }
+}
+
+struct Shared {
+    cmds: Mutex<Vec<Cmd>>,
+    /// Every live connection's endpoint by id; `send` finds its target
+    /// here without involving the poller.
+    endpoints: Mutex<HashMap<u64, Arc<Endpoint>>>,
+    waker: UnixStream,
+    next_conn: AtomicU64,
     stats: Arc<NetStats>,
 }
 
+/// A clonable handle for talking to the poller thread from outside.
+#[derive(Clone)]
+pub struct ReactorHandle(Arc<Shared>);
+
 impl ReactorHandle {
     fn push(&self, cmd: Cmd) {
-        self.cmds.lock().push(cmd);
+        self.0.cmds.lock().push(cmd);
         self.wake();
     }
 
     fn wake(&self) {
         // A full pipe already guarantees a wakeup is pending.
-        let _ = (&*self.waker).write(&[1u8]);
+        let _ = (&self.0.waker).write(&[1u8]);
     }
 
-    /// Adopts an already-connected stream (client side). Returns the
-    /// connection id; the poller emits `Accepted` once it takes over.
-    pub fn register(&self, stream: UnixStream) -> io::Result<u64> {
-        stream.set_nonblocking(true)?;
-        let id = self.next_conn.fetch_add(1, Ordering::Relaxed);
-        self.push(Cmd::Register { id, stream });
-        Ok(id)
-    }
-
-    /// Queues one frame for transmission on `conn`. Unknown or
-    /// already-dead connections drop the frame silently — the caller
-    /// learns of the death through `Disconnected`.
+    /// Sends one frame on `conn`, writing it on the calling thread. What
+    /// the socket buffer cannot take now is queued for the poller, which
+    /// is woken to wait for writability; a frame behind queued ones joins
+    /// the queue. A write error hands the connection's teardown to the
+    /// poller. Unknown or already-closed connections drop the frame
+    /// silently — the owner learns of the death through `Disconnected`.
     pub fn send(&self, conn: u64, request_id: u64, msg: &Message) {
+        let Some(endpoint) = self.0.endpoints.lock().get(&conn).map(Arc::clone) else {
+            return;
+        };
         let bytes = encode_frame(request_id, msg);
-        self.stats.frames_out.inc();
-        self.push(Cmd::Send { id: conn, bytes });
+        let mut out = endpoint.out.lock();
+        if out.closed {
+            return;
+        }
+        self.0.stats.frames_out.inc();
+        out.frames.push_back(bytes);
+        if out.frames.len() > 1 {
+            return;
+        }
+        match out.flush(&endpoint.stream, &self.0.stats) {
+            Flush::Drained => {}
+            Flush::Blocked => {
+                drop(out);
+                self.wake();
+            }
+            Flush::Failed => {
+                drop(out);
+                self.close(conn);
+            }
+        }
     }
 
-    /// Tears down `conn` (flushing nothing): the a14 scenario's
-    /// `sever_connections` injection lands here.
+    /// Tears down `conn` (flushing nothing): sends from this point on
+    /// are dropped, and the poller emits its `Disconnected`.
     pub fn close(&self, conn: u64) {
+        if let Some(endpoint) = self.0.endpoints.lock().remove(&conn) {
+            endpoint.close_queue();
+        }
         self.push(Cmd::Close { id: conn });
     }
 
@@ -116,11 +205,8 @@ impl ReactorHandle {
 }
 
 struct Conn {
-    stream: UnixStream,
+    endpoint: Arc<Endpoint>,
     decoder: FrameDecoder,
-    outq: VecDeque<Vec<u8>>,
-    /// Bytes of `outq.front()` already written.
-    out_pos: usize,
 }
 
 /// The poller. Owned by its thread after [`Reactor::spawn`]; callers
@@ -131,35 +217,33 @@ pub struct Reactor {
 }
 
 impl Reactor {
-    /// Spawns the poller thread. `listener`, when present, feeds the
-    /// accept loop (server side); clients pass `None` and register
-    /// outbound streams through the handle. `make_handler` receives the
-    /// handle first so the handler it builds can reply to frames.
+    /// Spawns the poller thread serving every connection `listener`
+    /// accepts. `make_handler` receives the handle first so the handler
+    /// it builds can reply to frames.
     pub fn spawn<F>(
         name: &str,
-        listener: Option<UnixListener>,
+        listener: UnixListener,
         stats: Arc<NetStats>,
         make_handler: impl FnOnce(&ReactorHandle) -> F,
     ) -> io::Result<Reactor>
     where
         F: FnMut(NetEvent) + Send + 'static,
     {
-        if let Some(l) = &listener {
-            l.set_nonblocking(true)?;
-        }
+        listener.set_nonblocking(true)?;
         let (wake_tx, wake_rx) = UnixStream::pair()?;
         wake_tx.set_nonblocking(true)?;
         wake_rx.set_nonblocking(true)?;
-        let handle = ReactorHandle {
-            cmds: Arc::new(Mutex::new(Vec::new())),
-            waker: Arc::new(wake_tx),
-            next_conn: Arc::new(AtomicU64::new(1)),
-            stats: Arc::clone(&stats),
-        };
+        let handle = ReactorHandle(Arc::new(Shared {
+            cmds: Mutex::new(Vec::new()),
+            endpoints: Mutex::new(HashMap::new()),
+            waker: wake_tx,
+            next_conn: AtomicU64::new(1),
+            stats,
+        }));
         let mut handler = make_handler(&handle);
         let loop_handle = handle.clone();
         let join = thread::Builder::new().name(format!("dl-net-{name}")).spawn(move || {
-            poll_loop(loop_handle, listener, wake_rx, stats, &mut handler);
+            poll_loop(loop_handle, listener, wake_rx, &mut handler);
         })?;
         Ok(Reactor { handle, join: Some(join) })
     }
@@ -178,13 +262,32 @@ impl Drop for Reactor {
     }
 }
 
-fn poll_loop(
-    handle: ReactorHandle,
-    listener: Option<UnixListener>,
-    wake_rx: UnixStream,
-    stats: Arc<NetStats>,
+/// Removes `id` for good: no more sends, one `Disconnected`, then the
+/// socket shuts down. Accounting and the event come first — shutting the
+/// socket first would let the peer observe the hangup before this side's
+/// accounting exists. The explicit shutdown (not just a drop) matters
+/// because a sender may still hold the endpoint for a moment.
+fn teardown(
+    id: u64,
+    conns: &mut HashMap<u64, Conn>,
+    handle: &ReactorHandle,
     handler: &mut dyn FnMut(NetEvent),
 ) {
+    let Some(c) = conns.remove(&id) else { return };
+    handle.0.endpoints.lock().remove(&id);
+    c.endpoint.close_queue();
+    handle.0.stats.connection_closed();
+    handler(NetEvent::Disconnected(id));
+    let _ = c.endpoint.stream.shutdown(Shutdown::Both);
+}
+
+fn poll_loop(
+    handle: ReactorHandle,
+    listener: UnixListener,
+    wake_rx: UnixStream,
+    handler: &mut dyn FnMut(NetEvent),
+) {
+    let stats = Arc::clone(&handle.0.stats);
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut pollfds: Vec<PollFd> = Vec::new();
     // pollfds[i] -> connection id, for the entries past waker/listener.
@@ -193,70 +296,39 @@ fn poll_loop(
     let mut read_buf = vec![0u8; 64 * 1024];
 
     loop {
-        // Drain pending commands first so a Register+Send burst lands in
-        // one poll cycle.
-        let cmds: Vec<Cmd> = std::mem::take(&mut *handle.cmds.lock());
-        let mut shutdown = false;
+        // Drain pending commands first so a burst lands in one poll cycle.
+        let cmds: Vec<Cmd> = std::mem::take(&mut *handle.0.cmds.lock());
         for cmd in cmds {
             match cmd {
-                Cmd::Register { id, stream } => {
-                    conns.insert(
-                        id,
-                        Conn {
-                            stream,
-                            decoder: FrameDecoder::new(),
-                            outq: VecDeque::new(),
-                            out_pos: 0,
-                        },
-                    );
-                    stats.connection_opened();
-                    handler(NetEvent::Accepted(id));
-                }
-                Cmd::Send { id, bytes } => {
-                    if let Some(c) = conns.get_mut(&id) {
-                        stats.bytes_out.add(bytes.len() as u64);
-                        c.outq.push_back(bytes);
+                Cmd::Close { id } => teardown(id, &mut conns, &handle, handler),
+                Cmd::Shutdown => {
+                    let ids: Vec<u64> = conns.keys().copied().collect();
+                    for id in ids {
+                        teardown(id, &mut conns, &handle, handler);
                     }
+                    return;
                 }
-                Cmd::Close { id } => {
-                    // Bind the removed conn so its socket stays open until
-                    // after the stats/handler calls: dropping it first
-                    // lets the peer observe the hangup before this side's
-                    // accounting exists.
-                    if let Some(c) = conns.remove(&id) {
-                        stats.connection_closed();
-                        handler(NetEvent::Disconnected(id));
-                        drop(c);
-                    }
-                }
-                Cmd::Shutdown => shutdown = true,
             }
-        }
-        if shutdown {
-            for (&id, _) in conns.iter() {
-                stats.connection_closed();
-                handler(NetEvent::Disconnected(id));
-            }
-            return;
         }
 
-        // Rebuild the poll set: waker, listener, then every connection.
+        // Rebuild the poll set: waker, listener, then every connection —
+        // writability only where a full socket buffer left frames queued.
         pollfds.clear();
         slot_ids.clear();
         pollfds.push(PollFd { fd: wake_rx.as_raw_fd(), events: POLLIN, revents: 0 });
-        if let Some(l) = &listener {
-            pollfds.push(PollFd { fd: l.as_raw_fd(), events: POLLIN, revents: 0 });
-        }
+        pollfds.push(PollFd { fd: listener.as_raw_fd(), events: POLLIN, revents: 0 });
         let fixed = pollfds.len();
         for (&id, c) in conns.iter() {
             let mut events = POLLIN;
-            if !c.outq.is_empty() {
+            if !c.endpoint.out.lock().frames.is_empty() {
                 events |= POLLOUT;
             }
-            pollfds.push(PollFd { fd: c.stream.as_raw_fd(), events, revents: 0 });
+            pollfds.push(PollFd { fd: c.endpoint.stream.as_raw_fd(), events, revents: 0 });
             slot_ids.push(id);
         }
 
+        // SAFETY: `pollfds` is a live, exclusively borrowed Vec of
+        // `#[repr(C)]` pollfd records and the count passed is its length.
         let rc = unsafe { poll(pollfds.as_mut_ptr(), pollfds.len() as u64, 250) };
         if rc < 0 {
             let err = io::Error::last_os_error();
@@ -289,7 +361,7 @@ fn poll_loop(
             // Read side: drain until WouldBlock, decoding as we go.
             if revents & (POLLIN | POLLHUP | POLLERR) != 0 {
                 'read: loop {
-                    match c.stream.read(&mut read_buf) {
+                    match (&c.endpoint.stream).read(&mut read_buf) {
                         Ok(0) => {
                             dead.push(id);
                             break 'read;
@@ -324,94 +396,35 @@ fn poll_loop(
             if dead.last() == Some(&id) {
                 continue;
             }
-            // Write side: flush the queue until it empties or the kernel
-            // buffer fills.
+            // Write side: flush what a full socket buffer queued.
             if revents & POLLOUT != 0 {
-                while let Some(front) = c.outq.front() {
-                    match c.stream.write(&front[c.out_pos..]) {
-                        Ok(n) => {
-                            c.out_pos += n;
-                            if c.out_pos >= front.len() {
-                                c.outq.pop_front();
-                                c.out_pos = 0;
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            stats.backpressure_stalls.inc();
-                            break;
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(_) => {
-                            dead.push(id);
-                            break;
-                        }
-                    }
+                if let Flush::Failed = c.endpoint.out.lock().flush(&c.endpoint.stream, &stats) {
+                    dead.push(id);
                 }
             }
         }
-
-        // Fresh sends on idle connections: try an eager flush so a
-        // request doesn't wait a full poll cycle when the socket is
-        // writable anyway.
-        for (&id, c) in conns.iter_mut() {
-            if dead.contains(&id) {
-                continue;
-            }
-            while let Some(front) = c.outq.front() {
-                match c.stream.write(&front[c.out_pos..]) {
-                    Ok(n) => {
-                        c.out_pos += n;
-                        if c.out_pos >= front.len() {
-                            c.outq.pop_front();
-                            c.out_pos = 0;
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        stats.backpressure_stalls.inc();
-                        break;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        dead.push(id);
-                        break;
-                    }
-                }
-            }
-        }
-
         for id in dead {
-            if let Some(c) = conns.remove(&id) {
-                stats.connection_closed();
-                handler(NetEvent::Disconnected(id));
-                drop(c);
-            }
+            teardown(id, &mut conns, &handle, handler);
         }
 
         // Accept loop: adopt every pending connection.
-        if let Some(l) = &listener {
-            loop {
-                match l.accept() {
-                    Ok((stream, _addr)) => {
-                        if stream.set_nonblocking(true).is_err() {
-                            continue;
-                        }
-                        let id = handle.next_conn.fetch_add(1, Ordering::Relaxed);
-                        conns.insert(
-                            id,
-                            Conn {
-                                stream,
-                                decoder: FrameDecoder::new(),
-                                outq: VecDeque::new(),
-                                out_pos: 0,
-                            },
-                        );
-                        stats.connection_opened();
-                        handler(NetEvent::Accepted(id));
+        loop {
+            match listener.accept() {
+                Ok((stream, _addr)) => {
+                    if stream.set_nonblocking(true).is_err() {
+                        continue;
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => break,
+                    let id = handle.0.next_conn.fetch_add(1, Ordering::Relaxed);
+                    let endpoint =
+                        Arc::new(Endpoint { stream, out: Mutex::new(OutQueue::default()) });
+                    handle.0.endpoints.lock().insert(id, Arc::clone(&endpoint));
+                    conns.insert(id, Conn { endpoint, decoder: FrameDecoder::new() });
+                    stats.connection_opened();
+                    handler(NetEvent::Accepted(id));
                 }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => break,
             }
         }
     }
@@ -423,78 +436,152 @@ mod tests {
     use std::sync::mpsc;
     use std::time::Duration;
 
-    fn temp_sock(tag: &str) -> std::path::PathBuf {
-        let p =
-            std::env::temp_dir().join(format!("dl-net-test-{}-{}.sock", std::process::id(), tag));
-        let _ = std::fs::remove_file(&p);
-        p
+    /// A reactor serving a fresh socket, and one plain blocking client
+    /// connected to it. `handler` sees every event but `Accepted`, which
+    /// this helper consumes to learn the connection id.
+    fn served(
+        name: &str,
+        mut handler: impl FnMut(&ReactorHandle, NetEvent) + Send + 'static,
+    ) -> (Reactor, Arc<NetStats>, u64, UnixStream) {
+        let path =
+            std::env::temp_dir().join(format!("dl-net-test-{}-{name}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let listener = UnixListener::bind(&path).unwrap();
+        let stats = Arc::new(NetStats::new());
+        let (accepted_tx, accepted_rx) = mpsc::channel();
+        let reactor = Reactor::spawn(name, listener, Arc::clone(&stats), |h| {
+            let h = h.clone();
+            move |ev| match ev {
+                NetEvent::Accepted(id) => accepted_tx.send(id).unwrap(),
+                ev => handler(&h, ev),
+            }
+        })
+        .unwrap();
+        let peer = UnixStream::connect(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let conn = accepted_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        (reactor, stats, conn, peer)
+    }
+
+    /// Blocking-reads `peer` until `n` frames have decoded.
+    fn read_frames(peer: &mut UnixStream, n: usize) -> Vec<(u64, Message)> {
+        let mut decoder = FrameDecoder::new();
+        let mut frames = Vec::new();
+        let mut buf = vec![0u8; 64 * 1024];
+        peer.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        while frames.len() < n {
+            let got = peer.read(&mut buf).expect("frames must arrive");
+            assert!(got > 0, "peer hung up after {} of {n} frames", frames.len());
+            decoder.feed(&buf[..got]);
+            while let Some(frame) = decoder.next_frame().expect("frames must decode whole") {
+                frames.push(frame);
+            }
+        }
+        frames
     }
 
     #[test]
     fn echo_round_trip_over_socket() {
-        let path = temp_sock("echo");
-        let listener = UnixListener::bind(&path).unwrap();
-        let server_stats = Arc::new(NetStats::new());
-        let _server = Reactor::spawn("echo-srv", Some(listener), Arc::clone(&server_stats), |h| {
-            let h = h.clone();
-            move |ev| {
-                if let NetEvent::Frame { conn, request_id, msg } = ev {
-                    h.send(conn, request_id, &msg);
-                }
+        let (_reactor, stats, _conn, mut peer) = served("echo", |h, ev| {
+            if let NetEvent::Frame { conn, request_id, msg } = ev {
+                h.send(conn, request_id, &msg);
             }
-        })
-        .unwrap();
-
-        let client_stats = Arc::new(NetStats::new());
-        let (tx, rx) = mpsc::channel();
-        let client = Reactor::spawn("echo-cli", None, Arc::clone(&client_stats), |_h| {
-            move |ev| {
-                if let NetEvent::Frame { request_id, msg, .. } = ev {
-                    tx.send((request_id, msg)).unwrap();
-                }
-            }
-        })
-        .unwrap();
-
-        let stream = UnixStream::connect(&path).unwrap();
-        let conn = client.handle().register(stream).unwrap();
+        });
         let msg = Message::Prepare { txid: 99, coord_epoch: 1 };
-        client.handle().send(conn, 7, &msg);
-        let (rid, echoed) = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(rid, 7);
-        assert_eq!(echoed, msg);
-        assert!(server_stats.frames_in.get() >= 1);
-        assert!(client_stats.frames_in.get() >= 1);
-        let _ = std::fs::remove_file(&path);
+        peer.write_all(&encode_frame(7, &msg)).unwrap();
+        assert_eq!(read_frames(&mut peer, 1), vec![(7, msg)]);
+        assert_eq!(stats.frames_in.get(), 1);
+        assert_eq!(stats.frames_out.get(), 1);
+    }
+
+    /// A handler forwarding every `Disconnected` id into a channel.
+    fn disconnects() -> (impl FnMut(&ReactorHandle, NetEvent) + Send, mpsc::Receiver<u64>) {
+        let (tx, rx) = mpsc::channel();
+        let handler = move |_h: &ReactorHandle, ev| {
+            if let NetEvent::Disconnected(id) = ev {
+                tx.send(id).unwrap();
+            }
+        };
+        (handler, rx)
     }
 
     #[test]
     fn close_emits_disconnect_on_both_ends() {
-        let path = temp_sock("close");
-        let listener = UnixListener::bind(&path).unwrap();
-        let (srv_tx, srv_rx) = mpsc::channel();
-        let server_stats = Arc::new(NetStats::new());
-        let _server = Reactor::spawn("close-srv", Some(listener), server_stats, |_h| {
-            move |ev| {
-                if let NetEvent::Disconnected(id) = ev {
-                    srv_tx.send(id).unwrap();
-                }
-            }
-        })
-        .unwrap();
+        // A server-side close reaches the peer as EOF...
+        let (handler, rx) = disconnects();
+        let (reactor, _stats, conn, mut peer) = served("close", handler);
+        reactor.handle().close(conn);
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), conn);
+        peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        assert_eq!(peer.read(&mut [0u8; 16]).unwrap(), 0);
 
-        let client_stats = Arc::new(NetStats::new());
-        let client =
-            Reactor::spawn("close-cli", None, Arc::clone(&client_stats), |_h| move |_ev| {})
-                .unwrap();
-        let stream = UnixStream::connect(&path).unwrap();
-        let conn = client.handle().register(stream).unwrap();
-        // Give the server a beat to accept, then sever from the client.
-        std::thread::sleep(Duration::from_millis(50));
-        client.handle().close(conn);
-        let dead = srv_rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert!(dead >= 1);
-        assert_eq!(client_stats.disconnects.get(), 1);
-        let _ = std::fs::remove_file(&path);
+        // ...and a peer hanging up is noticed by the poller.
+        let (handler, rx) = disconnects();
+        let (_reactor, stats, conn, peer) = served("hangup", handler);
+        drop(peer);
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), conn);
+        assert_eq!(stats.disconnects.get(), 1);
+    }
+
+    #[test]
+    fn one_mib_frame_from_another_thread_arrives_intact_past_a_full_buffer() {
+        let (reactor, stats, conn, mut peer) = served("big", |_h, _ev| {});
+        let big = Message::Err("x".repeat(1 << 20));
+        // Nobody reads `peer` until the sender returns, so the socket
+        // buffer fills mid-frame and the poller must finish the write.
+        let h = reactor.handle();
+        let sent = big.clone();
+        std::thread::spawn(move || h.send(conn, 5, &sent)).join().unwrap();
+        assert!(stats.backpressure_stalls.get() > 0, "a 1 MiB frame must outgrow the buffer");
+        assert_eq!(read_frames(&mut peer, 1), vec![(5, big)]);
+        assert_eq!(stats.frames_out.get(), 1);
+        assert!(stats.bytes_out.get() > 1 << 20);
+    }
+
+    #[test]
+    fn concurrent_senders_never_interleave_frames() {
+        let (reactor, stats, conn, mut peer) = served("many", |_h, _ev| {});
+        let (threads, per) = (8u64, 200u64);
+        // Payloads up to 24 KiB, so some writes go partial and queue.
+        let payload = |rid: u64| "p".repeat((rid as usize * 37) % (24 << 10));
+        let reader = std::thread::spawn(move || read_frames(&mut peer, (threads * per) as usize));
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                let h = reactor.handle();
+                scope.spawn(move || {
+                    for k in 0..per {
+                        let rid = t * 1_000 + k;
+                        h.send(conn, rid, &Message::Err(payload(rid)));
+                    }
+                });
+            }
+        });
+        let frames = reader.join().unwrap();
+        assert_eq!(frames.len(), 1600);
+        let mut next = vec![0u64; threads as usize];
+        for (rid, msg) in frames {
+            assert_eq!(msg, Message::Err(payload(rid)), "frame {rid} arrived whole");
+            let (t, k) = ((rid / 1_000) as usize, rid % 1_000);
+            assert_eq!(k, next[t], "one sender's frames keep their order");
+            next[t] += 1;
+        }
+        assert_eq!(stats.frames_out.get(), 1600);
+    }
+
+    #[test]
+    fn send_after_close_is_dropped_and_disconnect_fires_once() {
+        let (handler, rx) = disconnects();
+        let (reactor, stats, conn, mut peer) = served("closed", handler);
+        reactor.handle().close(conn);
+        reactor.handle().send(conn, 1, &Message::Ok);
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), conn);
+        assert_eq!(stats.frames_out.get(), 0, "the late frame is dropped");
+        peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        assert_eq!(peer.read(&mut [0u8; 16]).unwrap(), 0, "the peer sees EOF, no bytes");
+        // Shutting the reactor down joins the poller: every event it will
+        // ever emit is in the channel now.
+        drop(reactor);
+        assert_eq!(rx.try_iter().count(), 0, "no second Disconnected");
+        assert_eq!(stats.disconnects.get(), 1);
     }
 }

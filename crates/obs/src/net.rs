@@ -9,23 +9,25 @@
 
 use crate::metrics::{Counter, Gauge, Histogram};
 
-/// Instruments of one wire endpoint (a server's accept loop or a client
+/// Instruments of one wire endpoint (a server's reactor or a client
 /// connector), aggregated across its connections.
 #[derive(Debug, Default)]
 pub struct NetStats {
     /// Complete frames decoded off the wire.
     pub frames_in: Counter,
-    /// Frames queued for transmission.
+    /// Frames handed to a live connection: written through on the
+    /// sending thread, or queued behind a remainder the socket buffer
+    /// refused.
     pub frames_out: Counter,
-    /// Raw bytes read / written (partial reads and writes included).
+    /// Raw bytes read / actually written to the socket (partial reads
+    /// and writes included).
     pub bytes_in: Counter,
     pub bytes_out: Counter,
     /// Byte streams that failed to decode (bad tag, oversized frame,
     /// malformed payload). Each one costs the connection.
     pub decode_errors: Counter,
-    /// Writes that could not complete because the peer's socket buffer
-    /// was full — the frame stayed queued and the poller retried on the
-    /// next writability wakeup.
+    /// Writes that found the peer's socket buffer full: the unwritten
+    /// remainder was queued and the poller flushed it on writability.
     pub backpressure_stalls: Counter,
     /// Connections accepted (server) or registered (client).
     pub accepts: Counter,
@@ -35,9 +37,14 @@ pub struct NetStats {
     pub connections: Gauge,
     /// High-water mark of `connections`.
     pub peak_connections: Gauge,
-    /// Request/reply round-trip latency as the *caller* saw it: send,
-    /// poller wakeups on both ends, dispatch, reply decode.
+    /// Request/reply round-trip latency as the *caller* saw it: frame
+    /// write, server reactor wakeup, dispatch (inline or on a pool
+    /// worker, which writes the reply), and the reply read by whichever
+    /// caller holds the connection's read turn.
     pub round_trip_ns: Histogram,
+    /// Client calls that gave up waiting for their reply (the wire call
+    /// timeout passed).
+    pub call_timeouts: Counter,
 }
 
 impl NetStats {
@@ -69,6 +76,7 @@ impl NetStats {
             ("backpressure_stalls", self.backpressure_stalls.get()),
             ("accepts", self.accepts.get()),
             ("disconnects", self.disconnects.get()),
+            ("call_timeouts", self.call_timeouts.get()),
         ]
     }
 }

@@ -365,6 +365,9 @@ mod host_failover_2pc {
         // The coordinator dies with the sub-transaction prepared and no
         // decision logged anywhere.
         std::mem::forget(tx);
+        // Shipping is asynchronous: without this the standby can lack the
+        // table itself, which the promoted host's insert below needs.
+        assert!(sys.wait_host_replicas_caught_up(CATCH_UP), "the schema must ship");
 
         let report = sys.fail_over_host().unwrap();
         assert_eq!(
@@ -502,6 +505,9 @@ mod sharded_host_failover_2pc {
         b.link(txid, &pb, ControlMode::Rdd, true, OnUnlink::Restore).unwrap();
         a.prepare(txid).unwrap(); // shard A votes yes; shard B never hears phase one
         std::mem::forget(tx);
+        // Shipping is asynchronous: without this the standby can lack the
+        // table itself, which the promoted host's writes below need.
+        assert!(sys.wait_host_replicas_caught_up(CATCH_UP), "the schema must ship");
 
         let report = sys.fail_over_host().unwrap();
         let mut resolved = report.in_doubt_resolved.clone();

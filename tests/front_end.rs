@@ -62,7 +62,7 @@ fn upcall_burst_grows_the_pool_then_idles_back_to_the_floor() {
     let main = MainDaemon::new(Arc::clone(&server));
     let wire =
         WireDaemon::spawn(Arc::clone(&server), &main, local, Arc::new(NetStats::new())).unwrap();
-    let connector = WireConnector::new("burst", Arc::new(NetStats::new())).unwrap();
+    let connector = WireConnector::new(Arc::new(NetStats::new()));
     let client = WireUpcall(connector.connect(wire.socket_path(), "dlfs").unwrap());
 
     // Burst: 16 threads each validating tokens (every validation commits a

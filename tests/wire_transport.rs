@@ -1,18 +1,23 @@
-//! Wire-transport smoke (PR 10): the full stack speaking over real Unix
-//! sockets. `Transport::Socket` routes the engine's agent protocol and
-//! DLFS's upcalls through the framed codec and the poll(2) reactor, and
-//! these scenarios pin that the behaviour is indistinguishable from the
+//! Wire-transport smoke: the full stack speaking over real Unix sockets.
+//! `Transport::Socket` routes the engine's agent protocol and DLFS's
+//! upcalls through the framed codec and the poll(2) reactor, and these
+//! scenarios pin that the behaviour is indistinguishable from the
 //! in-process path: engine DML 2PC, managed token writes, presumed abort
-//! when a connection dies mid-2PC, and coordinator fencing across host
-//! failover.
+//! when a connection dies mid-2PC (between calls or during one), calls
+//! failing fast when the daemon goes away, and coordinator fencing across
+//! host failover.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use datalinks::core::{DataLinksSystem, DlColumnOptions, FileServerSpec};
-use datalinks::dlfm::{AgentConnection, ControlMode, OnUnlink, TokenKind, Transport, WireAgent};
-use datalinks::fskit::{Cred, OpenOptions, SimClock};
-use datalinks::minidb::{Column, ColumnType, Schema, Value};
+use datalinks::dlfm::{
+    AgentConnection, ArchiveStore, ControlMode, DlfmConfig, DlfmServer, MainDaemon, OnUnlink,
+    TokenKind, Transport, UpcallDaemon, WireAgent, WireConnector, WireDaemon,
+};
+use datalinks::fskit::{Cred, FileSystem, Lfs, MemFs, OpenOptions, SimClock};
+use datalinks::minidb::{Column, ColumnType, Schema, StorageEnv, Value};
+use datalinks::obs::NetStats;
 
 const APP: Cred = Cred { uid: 100, gid: 100 };
 const SRV: &str = "srv";
@@ -175,6 +180,127 @@ fn severing_a_connection_mid_two_phase_commit_presumed_aborts() {
     let snap = sys.registry().snapshot();
     assert_eq!(snap.counters.get(&format!("net.{SRV}.presumed_aborts")), Some(&1));
     assert!(*snap.counters.get(&format!("net.{SRV}.disconnects")).unwrap() >= 1);
+}
+
+/// Polls `cond` for up to 10 s: the point a test waits for is server
+/// state another thread reaches, not a fixed delay.
+fn wait_until(what: &str, cond: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !cond() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+#[test]
+fn severing_a_connection_during_a_call_fails_it_fast_and_presumed_aborts() {
+    let sys = build(0);
+    let raw = sys.raw_fs(SRV).unwrap();
+    raw.write_file(&APP, "/d/hot.bin", b"contended").unwrap();
+    let node = sys.node(SRV).unwrap();
+    let wire = node.wire().expect("socket transport");
+
+    // A holder's prepared link keeps the row locked, so the victim's link
+    // parks server-side on the row lock: its call is truly in flight.
+    let holder = WireAgent(wire.connect("holder").unwrap());
+    holder.link(9_200_001, "/d/hot.bin", ControlMode::Rff, true, OnUnlink::Restore).unwrap();
+    holder.prepare(9_200_001).unwrap();
+    let links_before = node.server.stats.links.get();
+    let victim = wire.connect("victim").unwrap();
+    let aborts_before = wire.daemon.presumed_aborts().get();
+
+    std::thread::scope(|scope| {
+        let call = scope.spawn(|| {
+            let agent = WireAgent(Arc::clone(&victim));
+            let r = agent.link(9_200_003, "/d/hot.bin", ControlMode::Rff, true, OnUnlink::Restore);
+            (r, Instant::now())
+        });
+        wait_until("the victim's link to reach the server", || {
+            node.server.stats.links.get() > links_before
+        });
+        let severed_at = Instant::now();
+        victim.sever();
+        let (result, returned_at) = call.join().unwrap();
+        assert!(result.is_err(), "a severed call must fail, not wait for its reply");
+        assert!(returned_at - severed_at < Duration::from_secs(1), "and fail at once");
+    });
+
+    // Releasing the row lets the parked link finish into a dead
+    // connection; the disconnect sweep has already presumed it aborted.
+    holder.abort(9_200_001);
+    wait_until("the victim's claim to settle", || {
+        node.server.pending_host_txns().is_empty()
+            && wire.daemon.presumed_aborts().get() > aborts_before
+    });
+    assert_eq!(wire.daemon.presumed_aborts().get(), aborts_before + 1);
+    assert!(
+        node.server.repository().get_file("/d/hot.bin").is_none(),
+        "neither the aborted holder nor the severed victim may leave a link"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// a daemon going away fails every waiting call at once
+// ---------------------------------------------------------------------------
+
+#[test]
+fn dropping_the_daemon_fails_every_waiting_call_at_once() {
+    let fs = Arc::new(MemFs::with_clock(Arc::new(SimClock::new(1_000_000))));
+    let admin = Lfs::new(fs.clone() as Arc<dyn FileSystem>);
+    admin.mkdir_p(&Cred::root(), "/d", 0o777).unwrap();
+    admin.write_file(&APP, "/d/hot.bin", b"x").unwrap();
+    let server = Arc::new(
+        DlfmServer::new(
+            DlfmConfig::new(SRV),
+            fs as Arc<dyn FileSystem>,
+            StorageEnv::mem(),
+            Arc::new(ArchiveStore::new()),
+            Arc::new(SimClock::new(1_000_000)),
+        )
+        .unwrap(),
+    );
+    let (_upcalls, local) = UpcallDaemon::spawn(Arc::clone(&server));
+    let main = MainDaemon::new(Arc::clone(&server));
+    let daemon =
+        WireDaemon::spawn(Arc::clone(&server), &main, local, Arc::new(NetStats::new())).unwrap();
+    let connector = WireConnector::new(Arc::new(NetStats::new()));
+
+    // An in-process holder keeps the row locked through the daemon's
+    // teardown (a wire holder's claim would be swept by the disconnect).
+    let holder = main.connect();
+    holder.link(1, "/d/hot.bin", ControlMode::Rff, true, OnUnlink::Restore).unwrap();
+    holder.prepare(1).unwrap();
+    // Four links on one shared connection, all parked on the held row.
+    let shared = connector.connect(daemon.socket_path(), "waiters").unwrap();
+    let idle = connector.connect(daemon.socket_path(), "idle").unwrap();
+    std::thread::scope(|scope| {
+        let calls: Vec<_> = (0..4u64)
+            .map(|i| {
+                let agent = WireAgent(Arc::clone(&shared));
+                scope.spawn(move || {
+                    let r =
+                        agent.link(10 + i, "/d/hot.bin", ControlMode::Rff, true, OnUnlink::Restore);
+                    (r, Instant::now())
+                })
+            })
+            .collect();
+        // Two Hellos, then the four links.
+        wait_until("all four links to reach the server", || daemon.stats().frames_in.get() == 6);
+        let dropped_at = Instant::now();
+        drop(daemon);
+        for call in calls {
+            let (result, returned_at) = call.join().unwrap();
+            assert!(result.is_err(), "a call whose daemon is gone must fail");
+            assert!(returned_at - dropped_at < Duration::from_secs(1), "well inside the timeout");
+        }
+    });
+    assert!(shared.is_dead());
+    // An idle connection learns of the loss at its next call.
+    assert!(!idle.is_dead());
+    assert!(idle.freshness_token().is_err());
+    assert!(idle.is_dead());
+    assert_eq!(connector.stats().call_timeouts.get(), 0, "they failed, not timed out");
+    holder.abort(1);
 }
 
 // ---------------------------------------------------------------------------
